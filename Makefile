@@ -6,7 +6,7 @@ export PYTHONPATH := src
 SMOKE := .repro_cache/smoke
 
 .PHONY: test test-fast test-resilience campaign-demo store-smoke prune-smoke \
-	dataflow-smoke dist-smoke bench lint lint-self ruff tables
+	sim-equivalence dataflow-smoke dist-smoke bench lint lint-self ruff tables
 
 test:            ## full test suite
 	$(PYTHON) -m pytest
@@ -67,6 +67,9 @@ prune-smoke:     ## def-use pruning: audit, accounting, collapsed-vs-full gate
 	$(PYTHON) -m repro.store --db $(SMOKE)/prune-smoke.sqlite3 show 2
 	$(PYTHON) -m repro.store --db $(SMOKE)/prune-smoke.sqlite3 heatmap 2 \
 		--compare 1 --out $(SMOKE)/prune-smoke-heatmap.html
+
+sim-equivalence: ## checkpointed injection vs replay from reset, 2000 points/core
+	$(PYTHON) -m pytest -q -m slow tests/fi/test_checkpoint_equivalence.py
 
 dataflow-smoke:  ## static dataflow layer: audit, 3-layer accounting, flip gate
 	mkdir -p $(SMOKE)

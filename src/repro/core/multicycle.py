@@ -45,9 +45,9 @@ def masked_within_k_cycles(
     for current in range(cycle, horizon + 1):
         inputs = [trace.value(current, wire) for wire in compiled.input_wires]
         golden_next, golden_out, _ = step(
-            [trace.value(current, dff.q) for dff in compiled.dffs], inputs
+            [trace.value(current, dff.q) for dff in compiled.dffs], inputs, False
         )
-        faulty_next, faulty_out, _ = step(faulty, inputs)
+        faulty_next, faulty_out, _ = step(faulty, inputs, False)
         if faulty_out != golden_out:
             return False
         if faulty_next == golden_next:

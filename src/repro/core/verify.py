@@ -33,10 +33,10 @@ def masked_within_one_cycle(
     flip carries over into the next cycle the fault survives.
     """
     index = compiled.dff_names.index(dff_name)
-    golden_next, golden_out, _ = compiled.step(list(state), list(inputs))
+    golden_next, golden_out, _ = compiled.step(list(state), list(inputs), False)
     faulty_state = list(state)
     faulty_state[index] ^= 1
-    faulty_next, faulty_out, _ = compiled.step(faulty_state, list(inputs))
+    faulty_next, faulty_out, _ = compiled.step(faulty_state, list(inputs), False)
     return golden_next == faulty_next and golden_out == faulty_out
 
 

@@ -54,3 +54,17 @@ class AvrSystem(Testbench):
         if outputs.get("port_we"):
             self.port_log.append((cycle, outputs["port_addr"], outputs["port_wdata"]))
         return bool(outputs.get("halted")) and self.halt_on_sleep
+
+    def snapshot(self) -> object:
+        """ROM shared, RAM and port log as marks into this run's logs."""
+        return (
+            self.rom, self.ram.mark(), self.port_log, len(self.port_log),
+            self.halt_on_sleep, self.pin_in,
+        )
+
+    def restore(self, snapshot: object) -> None:
+        """Rebuild RAM and the port log from the snapshotted run's prefix."""
+        rom, ram, port_log, ports, halt, pin_in = snapshot  # type: ignore[misc]
+        self.rom, self.halt_on_sleep, self.pin_in = rom, halt, pin_in
+        self.ram.rewind(ram)
+        self.port_log = port_log[:ports]

@@ -50,3 +50,13 @@ class Msp430System(Testbench):
                 word_index = ((address - self.ram_base) >> 1) % len(self.ram)
                 self.ram.write(word_index, outputs["mem_wdata"], cycle=cycle)
         return bool(outputs.get("halted")) and self.halt_on_cpuoff
+
+    def snapshot(self) -> object:
+        """ROM shared, RAM as a mark into this run's write log."""
+        return self.rom, self.ram.mark(), self.ram_base, self.halt_on_cpuoff
+
+    def restore(self, snapshot: object) -> None:
+        """Rebuild RAM from the snapshotted run's write-log prefix."""
+        rom, ram, ram_base, halt = snapshot  # type: ignore[misc]
+        self.rom, self.ram_base, self.halt_on_cpuoff = rom, ram_base, halt
+        self.ram.rewind(ram)

@@ -5,6 +5,11 @@ factory for fresh testbenches and an extractor for the externally-visible
 result (memory image, i/o log). :class:`Campaign` runs the golden
 execution once, then injects SEUs — exhaustively, sampled, or from a
 MATE-pruned fault list — and classifies each run.
+
+The golden run keeps one checkpoint per cycle (FF state plus a testbench
+snapshot), so an injection at cycle c simulates only the cycles from c on:
+the cycles before the fault are the golden ones, which the campaign has
+already simulated.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 from repro.core.faultspace import FaultSpace
 from repro.fi.classify import Outcome
 from repro.obs import counter, gauge, progress_iter, span
-from repro.sim.simulator import SimulationResult, Simulator
+from repro.sim.simulator import Checkpoint, SimulationResult, Simulator
 from repro.sim.testbench import Testbench
 
 
@@ -95,9 +100,14 @@ class Campaign:
     def __init__(self, target: CampaignTarget, max_cycles: int = 50_000) -> None:
         self.target = target
         tb = target.make_testbench()
+        #: Golden state at the start of every golden cycle, indexed by cycle.
+        self.checkpoints: list[Checkpoint] = []
         with span("campaign/golden-run", target=target.name):
             self._golden = target.simulator.run(
-                tb, max_cycles=max_cycles, record_trace=False
+                tb,
+                max_cycles=max_cycles,
+                record_trace=False,
+                checkpoints=self.checkpoints,
             )
         if not self._golden.halted:
             raise ValueError(
@@ -105,31 +115,42 @@ class Campaign:
             )
         self._golden_observables = target.observables(tb, self._golden)
         self.golden_cycles = self._golden.cycles
+        #: Cycle budget of an injected run, counted from cycle 0.
+        self.cycle_budget = int(self.golden_cycles * target.timeout_factor) + 8
 
     # ------------------------------------------------------------------
-    def inject(self, dff_name: str, cycle: int) -> Outcome:
-        """Inject one SEU and classify the outcome."""
+    def run_injection(
+        self, dff_name: str, cycle: int
+    ) -> tuple[Testbench, SimulationResult]:
+        """Simulate one SEU from the golden checkpoint at ``cycle``."""
         if dff_name not in self.target.simulator.netlist.dffs:
             raise KeyError(f"unknown flip-flop {dff_name!r}")
-        if cycle >= self.golden_cycles:
+        if not 0 <= cycle < self.golden_cycles:
             raise ValueError(
                 f"cycle {cycle} beyond the golden run ({self.golden_cycles})"
             )
-        budget = int(self.golden_cycles * self.target.timeout_factor) + 8
         tb = self.target.make_testbench()
         with span("campaign/inject"):
             result = self.target.simulator.run(
                 tb,
-                max_cycles=budget,
+                max_cycles=self.cycle_budget,
                 record_trace=False,
                 flips={cycle: [dff_name]},
+                start=self.checkpoints[cycle],
             )
+        return tb, result
+
+    def classify(self, tb: Testbench, result: SimulationResult) -> Outcome:
+        """Outcome of a finished run: timeout, or its observables vs golden."""
         if not result.halted:
-            outcome = Outcome.TIMEOUT
-        elif self.target.observables(tb, result) == self._golden_observables:
-            outcome = Outcome.BENIGN
-        else:
-            outcome = Outcome.SDC
+            return Outcome.TIMEOUT
+        if self.target.observables(tb, result) == self._golden_observables:
+            return Outcome.BENIGN
+        return Outcome.SDC
+
+    def inject(self, dff_name: str, cycle: int) -> Outcome:
+        """Inject one SEU and classify the outcome."""
+        outcome = self.classify(*self.run_injection(dff_name, cycle))
         counter("campaign.injections").inc()
         counter(f"campaign.outcome.{outcome.value}").inc()
         return outcome

@@ -82,13 +82,13 @@ def simulate_online_pruning(
 
     state = compiled.initial_state()
     step = compiled.step
-    from repro.sim.simulator import StateView
+    view = simulator.state_view(state)
 
     with span(
         "hafi/online-pruning", netlist=netlist.name, cycles=cycles, mates=len(mates)
     ) as run_span:
         for cycle in range(cycles):
-            view = StateView(state, simulator.dff_index, simulator.reg_widths)
+            view.state = state
             inputs = simulator.pack_inputs(testbench.drive(cycle, view))
             state, outputs, row = step(state, inputs)
             for index, checks in enumerate(mate_checks):

@@ -4,8 +4,10 @@ Simulating a few thousand gates for ~10⁴ cycles in interpreted Python is
 only tractable if the per-gate dispatch disappears. We therefore compile the
 levelized combinational logic into one generated Python function of local
 integer operations (the same trick netlist simulators play with code
-generation), which evaluates a full cycle in a single call and returns the
-complete wire-value row for trace recording.
+generation), which evaluates a full cycle in a single call. The complete
+wire-value row for trace recording is built only when the caller asks for
+it: most cycles (every injected run) discard it, and building a tuple of a
+few thousand wires costs about a third of the step.
 """
 
 from __future__ import annotations
@@ -43,7 +45,13 @@ _TEMPLATES = {
 
 
 class CompiledNetlist:
-    """A netlist compiled to an executable single-cycle step function."""
+    """A netlist compiled to an executable single-cycle step function.
+
+    ``step(state, inputs, row=True)`` returns ``(next_state, outputs, row)``:
+    the D values in :attr:`dffs` order, the output bits in
+    :attr:`output_wires` order, and the wire values in :attr:`trace_wires`
+    order -- or ``None`` in place of the row when ``row`` is false.
+    """
 
     def __init__(self, netlist: Netlist) -> None:
         with span("sim/compile", netlist=netlist.name):
@@ -92,7 +100,7 @@ class CompiledNetlist:
         return expression
 
     def _compile(self, topo: list[Gate]):
-        lines = ["def step(state, inputs):"]
+        lines = ["def step(state, inputs, row=True):"]
         for index, wire in enumerate(self.input_wires):
             lines.append(f"    {self._var(wire)} = inputs[{index}]")
         for index, dff in enumerate(self.dffs):
@@ -103,12 +111,11 @@ class CompiledNetlist:
         next_state = ", ".join(self._var(dff.d) for dff in self.dffs)
         outputs = ", ".join(self._var(wire) for wire in self.output_wires)
         outputs_tuple = f"({outputs},)" if outputs else "()"
-        row = ", ".join(self._var(wire) for wire in self.trace_wires)
-        lines.append(f"    return [{next_state}], {outputs_tuple}, ({row},)")
-        source = "\n".join(lines)
-        namespace: dict[str, object] = {}
-        exec(compile(source, f"<compiled {self.netlist.name}>", "exec"), namespace)
-        return namespace["step"]
+        columns = ", ".join(self._var(wire) for wire in self.trace_wires)
+        lines.append(
+            f"    return [{next_state}], {outputs_tuple}, ({columns},) if row else None"
+        )
+        return exec_function(lines, "step", f"<compiled {self.netlist.name}>")
 
     # ------------------------------------------------------------------
     def initial_state(self) -> list[int]:
@@ -119,6 +126,13 @@ class CompiledNetlist:
     def num_state_bits(self) -> int:
         """Number of flip-flops."""
         return len(self.dffs)
+
+
+def exec_function(lines: list[str], name: str, filename: str):
+    """Execute generated source lines and return the function ``name``."""
+    namespace: dict[str, object] = {}
+    exec(compile("\n".join(lines), filename, "exec"), namespace)
+    return namespace[name]
 
 
 def compile_netlist(netlist: Netlist) -> CompiledNetlist:

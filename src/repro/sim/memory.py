@@ -37,6 +37,8 @@ class RAM:
         self.words = [fill & self._mask] * size
         #: Chronological (cycle, address, value) log of committed writes.
         self.write_log: list[tuple[int, int, int]] = []
+        # Contents and log length at the first mark(), shared by all marks.
+        self._origin: tuple[tuple[int, ...], int] | None = None
 
     def read(self, address: int) -> int:
         """Word at ``address`` (0 beyond the end — open bus)."""
@@ -49,6 +51,26 @@ class RAM:
         if 0 <= address < len(self.words):
             self.words[address] = value & self._mask
             self.write_log.append((cycle, address, value & self._mask))
+
+    def mark(self) -> tuple:
+        """A cheap checkpoint of the contents, for :meth:`rewind`.
+
+        The first mark copies the words; later marks only note the write
+        log's length, so a mark per cycle costs O(1). Marks assume every
+        change after the first one goes through :meth:`write`.
+        """
+        if self._origin is None:
+            self._origin = (tuple(self.words), len(self.write_log))
+        return self._origin, self.write_log, len(self.write_log)
+
+    def rewind(self, mark: tuple) -> None:
+        """Take the contents and write log of a (possibly other) RAM's mark."""
+        (words, first), log, end = mark
+        self.words = list(words)
+        for _, address, value in log[first:end]:
+            self.words[address] = value
+        self.write_log = log[:end]
+        self._origin = None
 
     def load(self, address: int, values: Iterable[int]) -> None:
         """Bulk-initialize memory starting at ``address`` (not logged)."""

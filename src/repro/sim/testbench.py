@@ -4,10 +4,16 @@ A testbench supplies word-level input values each cycle (it may inspect the
 current register state, e.g. to model memories addressed by a PC register)
 and observes word-level outputs at the end of each cycle (e.g. to commit
 memory writes or detect a halt condition).
+
+A testbench can also be checkpointed: :meth:`Testbench.snapshot` captures
+everything its later ``drive``/``observe`` calls depend on, and
+:meth:`Testbench.restore` puts a fresh testbench from the same factory into
+that state, so a run can resume mid-way (see ``Simulator.run(start=...)``).
 """
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Mapping, Sequence
 
 
@@ -21,6 +27,19 @@ class Testbench:
     def observe(self, cycle: int, outputs: Mapping[str, int]) -> bool:
         """Called with word-level outputs after the cycle; True halts the run."""
         return False
+
+    def snapshot(self) -> object:
+        """Opaque copy of the run state, taken between two cycles.
+
+        The generic version deep-copies every instance attribute. Override
+        it (with :meth:`restore`) when that is too slow or too large, or
+        when an attribute must be shared rather than copied.
+        """
+        return copy.deepcopy(vars(self))
+
+    def restore(self, snapshot: object) -> None:
+        """Return to a :meth:`snapshot`; one snapshot may be restored many times."""
+        vars(self).update(copy.deepcopy(snapshot))
 
 
 class StateReader:
@@ -58,3 +77,10 @@ class TableTestbench(Testbench):
         """Row for this cycle (last row repeats)."""
         index = min(cycle, len(self.rows) - 1)
         return dict(self.rows[index])
+
+    def snapshot(self) -> object:
+        """Nothing to capture: the rows are read-only."""
+        return None
+
+    def restore(self, snapshot: object) -> None:
+        """Nothing to restore."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.cells import nangate15_library
 from repro.netlist import Netlist
 from repro.rtl import RtlCircuit, mux
@@ -192,3 +193,94 @@ class TestMemories:
         ram.load(2, [10, 20])
         assert ram.read(3) == 20
         assert ram.write_log == []
+
+    def test_ram_rewind_to_mark(self):
+        ram = RAM(4, width=8)
+        ram.load(0, [5, 6, 7, 8])
+        ram.write(1, 0x11, cycle=0)
+        mark = ram.mark()
+        ram.write(2, 0x22, cycle=1)
+        later = ram.mark()
+        ram.write(1, 0x33, cycle=2)
+        copy = RAM(4, width=8)
+        copy.rewind(mark)
+        assert copy.words == [5, 0x11, 7, 8]
+        assert copy.write_log == [(0, 1, 0x11)]
+        copy.rewind(later)
+        assert copy.words == [5, 0x11, 0x22, 8]
+        assert copy.write_log == [(0, 1, 0x11), (1, 2, 0x22)]
+        # Rewinding copies: the marked RAM's log is untouched.
+        copy.write(3, 0x44, cycle=3)
+        assert len(ram.write_log) == 3
+
+
+class _HaltAtNine(Testbench):
+    def __init__(self):
+        self.seen = []
+
+    def drive(self, cycle, state):
+        self.seen.append(state.read_reg("cnt"))
+        return {"en": 1}
+
+    def observe(self, cycle, outputs):
+        return outputs["value"] == 9
+
+
+class TestCheckpoints:
+    def _golden(self, sim):
+        checkpoints = []
+        golden = sim.run(
+            _HaltAtNine(), max_cycles=50, record_trace=False, checkpoints=checkpoints
+        )
+        return golden, checkpoints
+
+    def test_one_checkpoint_per_cycle(self):
+        sim = Simulator(_counter_netlist())
+        golden, checkpoints = self._golden(sim)
+        assert golden.cycles == 10
+        assert [c.cycle for c in checkpoints] == list(range(10))
+        # The generic snapshot captured the testbench before drive(cycle).
+        assert checkpoints[4].testbench == {"seen": [0, 1, 2, 3]}
+
+    def test_resume_matches_run_from_reset(self):
+        sim = Simulator(_counter_netlist())
+        _, checkpoints = self._golden(sim)
+        oracle_tb = _HaltAtNine()
+        oracle = sim.run(oracle_tb, max_cycles=50, flips={4: ["cnt_b0"]})
+        resumed_tb = _HaltAtNine()
+        resumed = sim.run(
+            resumed_tb, max_cycles=50, flips={4: ["cnt_b0"]}, start=checkpoints[4]
+        )
+        assert resumed.cycles == oracle.cycles and resumed.halted == oracle.halted
+        assert resumed.final_state == oracle.final_state
+        assert resumed_tb.seen == oracle_tb.seen
+        # The trace covers only the cycles simulated.
+        assert resumed.trace.num_cycles == oracle.cycles - 4
+
+    def test_restore_does_not_alias_the_snapshot(self):
+        sim = Simulator(_counter_netlist())
+        golden, checkpoints = self._golden(sim)
+        for _ in range(2):
+            tb = _HaltAtNine()
+            sim.run(tb, max_cycles=50, start=checkpoints[6])
+            assert tb.seen == list(range(10))
+        assert checkpoints[6].testbench == {"seen": [0, 1, 2, 3, 4, 5]}
+
+    def test_cycle_counters(self):
+        sim = Simulator(_counter_netlist())
+        _, checkpoints = self._golden(sim)
+        obs.reset()
+        sim.run(_HaltAtNine(), max_cycles=50, start=checkpoints[6])
+        assert obs.counter("sim.cycles.simulated").value == 4
+        assert obs.counter("sim.cycles.restored").value == 6
+        sim.run(_HaltAtNine(), max_cycles=50)
+        assert obs.counter("sim.cycles.simulated").value == 4 + 10
+        assert obs.counter("sim.cycles.restored").value == 6
+
+    def test_budget_stays_absolute(self):
+        sim = Simulator(_counter_netlist())
+        _, checkpoints = self._golden(sim)
+        result = sim.run(_HaltAtNine(), max_cycles=8, start=checkpoints[6])
+        assert not result.halted and result.cycles == 8
+        with pytest.raises(ValueError, match="past the 5-cycle budget"):
+            sim.run(_HaltAtNine(), max_cycles=5, start=checkpoints[6])
