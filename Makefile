@@ -6,7 +6,7 @@ export PYTHONPATH := src
 SMOKE := .repro_cache/smoke
 
 .PHONY: test test-fast test-resilience campaign-demo store-smoke prune-smoke \
-	sim-equivalence dataflow-smoke dist-smoke bench lint lint-self ruff tables
+	sim-equivalence dist-smoke bench lint lint-self ruff tables
 
 test:            ## full test suite
 	$(PYTHON) -m pytest
@@ -49,9 +49,11 @@ prune-smoke:     ## def-use pruning: audit, accounting, collapsed-vs-full gate
 		$(SMOKE)/prune-accounting.txt $(SMOKE)/prune-full.jsonl \
 		$(SMOKE)/prune-full.jsonl.telemetry $(SMOKE)/prune-defuse.jsonl \
 		$(SMOKE)/prune-defuse.jsonl.telemetry
-	# Sampled prune.* audit on both cores: any refuted claim is an
-	# error-severity finding, which exits 1 and fails the job.
+	# Sampled prune.* audit on both cores and both programs: any refuted
+	# claim is an error-severity finding, which exits 1 and fails the job.
 	$(PYTHON) -m repro.lint avr msp430 --audit-prune \
+		--rules prune.cert-invalid,prune.dead-refuted,prune.equiv-refuted
+	$(PYTHON) -m repro.lint avr msp430 --audit-prune --prune-program conv \
 		--rules prune.cert-invalid,prune.dead-refuted,prune.equiv-refuted
 	$(PYTHON) -m repro.eval prune | tee $(SMOKE)/prune-accounting.txt
 	# Same sampled points, full campaign vs def-use collapse; the diff
@@ -70,29 +72,6 @@ prune-smoke:     ## def-use pruning: audit, accounting, collapsed-vs-full gate
 
 sim-equivalence: ## checkpointed injection vs replay from reset, 2000 points/core
 	$(PYTHON) -m pytest -q -m slow tests/fi/test_checkpoint_equivalence.py
-
-dataflow-smoke:  ## static dataflow layer: audit, 3-layer accounting, flip gate
-	mkdir -p $(SMOKE)
-	rm -rf $(SMOKE)/dataflow-smoke.sqlite3 $(SMOKE)/dataflow-accounting.txt \
-		$(SMOKE)/dataflow-full.jsonl $(SMOKE)/dataflow-full.jsonl.telemetry \
-		$(SMOKE)/dataflow-static.jsonl \
-		$(SMOKE)/dataflow-static.jsonl.telemetry
-	# dataflow.claim-invalid re-derives *every* static certificate with the
-	# independent per-path checker; dataflow.dead-refuted injects sampled
-	# statically-dead points for real. One refuted claim exits 1.
-	$(PYTHON) -m repro.lint avr msp430 --audit-dataflow --rules 'dataflow.*'
-	# Three-layer accounting (MATE x def-use x static) as a CI artifact.
-	$(PYTHON) -m repro.eval prune | tee $(SMOKE)/dataflow-accounting.txt
-	# Same sampled points, full campaign vs static+def-use collapse; the
-	# diff gate exits 1 on any outcome flip between them.
-	$(PYTHON) -m repro.fi run --target avr-fib --sampled 2000 --seed 11 \
-		--journal $(SMOKE)/dataflow-full.jsonl --no-store
-	$(PYTHON) -m repro.fi run --target avr-fib --sampled 2000 --seed 11 \
-		--defuse --static --journal $(SMOKE)/dataflow-static.jsonl --no-store
-	$(PYTHON) -m repro.store --db $(SMOKE)/dataflow-smoke.sqlite3 ingest \
-		$(SMOKE)/dataflow-full.jsonl $(SMOKE)/dataflow-static.jsonl
-	$(PYTHON) -m repro.store --db $(SMOKE)/dataflow-smoke.sqlite3 diff 1 2
-	$(PYTHON) -m repro.store --db $(SMOKE)/dataflow-smoke.sqlite3 show 2
 
 dist-smoke:      ## distributed service: 2 workers, one SIGKILLed, flip-free gate
 	mkdir -p $(SMOKE)

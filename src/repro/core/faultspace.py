@@ -96,23 +96,12 @@ class FaultSpace:
         """Per-layer pruned-point totals plus the cross-layer overlaps.
 
         Returns ``{layer: count, ...}`` with an extra ``"both"`` entry when
-        exactly two layers are present (the mate/defuse case). With three or
-        more layers every pairwise overlap is reported as ``"a&b"`` (sorted
-        names) plus an ``"all"`` entry for the points every layer pruned.
+        exactly two layers are present (the mate/defuse case).
         """
         counts = {name: self.layer_benign(name) for name in self.layers}
         if len(counts) == 2:
             a, b = self.layers
             counts["both"] = self.layer_overlap(a, b)
-        elif len(counts) > 2:
-            names = self.layers
-            for i, a in enumerate(names):
-                for b in names[i + 1 :]:
-                    counts[f"{a}&{b}"] = self.layer_overlap(a, b)
-            every = np.ones_like(self.benign)
-            for name in names:
-                every &= self._layers[name]
-            counts["all"] = int(every.sum())
         return counts
 
     def is_benign(self, fault_wire: str, cycle: int) -> bool:

@@ -62,8 +62,8 @@ def registers_written(word: int) -> set[int]:
     The dual of :func:`registers_read`: where reads over-approximate (a
     spurious read only weakens a deadness claim), writes *under*-approximate
     — every register returned is unconditionally written by the execute
-    stage (``rf_we``/``x_we`` decode), so the static dataflow layer may
-    treat it as a kill.
+    stage (``rf_we``/``x_we`` decode), so a liveness analysis may treat it
+    as a kill.
     """
     word &= 0xFFFF
     if word in (isa.OPCODE_NOP, isa.OPCODE_SLEEP, isa.OPCODE_RET):

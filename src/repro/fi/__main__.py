@@ -9,9 +9,6 @@ Usage::
     python -m repro.fi run --target avr-fib --sampled 500 --defuse \\
         --journal defuse.jsonl   # inject def-use representatives only,
                                  # back-annotate the rest (repro.prune)
-    python -m repro.fi run --target avr-fib --sampled 500 --defuse --static \\
-        --journal layered.jsonl  # + binary-level static dataflow layer:
-                                 # statically-dead points get pruned_by=static
     python -m repro.fi resume --journal camp.jsonl  # continue after a crash
     python -m repro.fi status --journal camp.jsonl  # progress + outcome tally
     python -m repro.fi report camp.jsonl            # self-contained HTML report
@@ -198,52 +195,17 @@ def _pruned_points(
     return remaining, meta, mate_vectors
 
 
-def _static_map_for(runner: CampaignRunner, target: str):
-    """The static dataflow map for a named target, length-checked."""
-    from repro.prune import get_static_map
-
-    static_map = get_static_map(target)
-    if static_map.golden_cycles != runner.golden_cycles:
-        raise ValueError(
-            f"stale static map for {target}: covers "
-            f"{static_map.golden_cycles} cycle(s), golden run has "
-            f"{runner.golden_cycles}"
-        )
-    return static_map
-
-
-def _static_plan(
-    runner: CampaignRunner,
-    target: str,
-    points: list[tuple[str, int]],
-):
-    """Annotate ``points`` using only the static dataflow layer."""
-    from repro.prune import collapse_static
-
-    static_map = _static_map_for(runner, target)
-    collapse = collapse_static(points, static_map)
-    meta = {
-        "static": True,
-        "static_annotated": collapse.num_annotated,
-    }
-    print(f"static collapse: {collapse.summary()}")
-    return collapse.annotation_plan(source="static"), meta
-
-
 def _defuse_plan(
     runner: CampaignRunner,
     target: str,
     points: list[tuple[str, int]],
     mate_vectors: dict | None = None,
-    with_static: bool = False,
 ):
     """Collapse ``points`` onto def-use representatives for a named target.
 
     Returns the runner :class:`~repro.fi.runner.AnnotationPlan` plus the
     journal-header metadata (collapse counts and per-layer fault-space
-    attribution) the warehouse reads back out. With ``with_static`` the
-    static dataflow layer is consulted first, so its trace-independent dead
-    points carry ``pruned_by="static"`` provenance.
+    attribution) the warehouse reads back out.
     """
     from repro.prune import account, get_equivalence_map
 
@@ -254,14 +216,9 @@ def _defuse_plan(
             f"{equivalence_map.golden_cycles} cycle(s), golden run has "
             f"{runner.golden_cycles}"
         )
-    static_map = _static_map_for(runner, target) if with_static else None
-    collapse = equivalence_map.collapse(points, static_map=static_map)
+    collapse = equivalence_map.collapse(points)
     accounting = account(
-        target,
-        runner.target.simulator.netlist,
-        equivalence_map,
-        mate_vectors,
-        static_map=static_map,
+        target, runner.target.simulator.netlist, equivalence_map, mate_vectors
     )
     meta = {
         "defuse": True,
@@ -269,11 +226,6 @@ def _defuse_plan(
         "defuse_annotated": collapse.num_annotated,
         "layers": accounting.layers(),
     }
-    if with_static:
-        meta["static"] = True
-        meta["static_annotated"] = len(
-            [i for i, s in collapse.sources.items() if s == "static"]
-        )
     print(f"def-use collapse: {collapse.summary()}")
     return collapse.annotation_plan(), meta
 
@@ -477,14 +429,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.target not in NAMED_TARGETS:
             raise SystemExit("error: --defuse requires a named core target")
         plan, defuse_meta = _defuse_plan(runner, args.target, points,
-                                         mate_vectors,
-                                         with_static=args.static)
+                                         mate_vectors)
         meta.update(defuse_meta)
-    elif args.static:
-        if args.target not in NAMED_TARGETS:
-            raise SystemExit("error: --static requires a named core target")
-        plan, static_meta = _static_plan(runner, args.target, points)
-        meta.update(static_meta)
     return _execute(runner, points, args, resume=args.resume, seed=args.seed,
                     meta=meta, plan=plan)
 
@@ -500,32 +446,22 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     runner = CampaignRunner(spec, config)
     plan = None
     meta = state.header.get("meta") or {}
-    if meta.get("defuse") or meta.get("static"):
+    if meta.get("defuse"):
         # A collapsed campaign resumes under the same deterministic plan,
-        # rebuilt from the cached maps and the journaled points.
+        # rebuilt from the cached map and the journaled points. Journals
+        # written with the since-removed static layer (meta "static") get
+        # the same plan: its dead points were all def-use dead too.
         workload = state.header["workload"]
         if workload not in NAMED_TARGETS:
             raise SystemExit(
                 f"error: cannot rebuild the pruning plan for non-named "
                 f"target {workload!r}"
             )
-        from repro.prune import (
-            collapse_static,
-            get_equivalence_map,
-            get_static_map,
-        )
+        from repro.prune import get_equivalence_map
 
-        static_map = get_static_map(workload) if meta.get("static") else None
-        if meta.get("defuse"):
-            plan = (
-                get_equivalence_map(workload)
-                .collapse(state.points, static_map=static_map)
-                .annotation_plan()
-            )
-        else:
-            plan = collapse_static(state.points, static_map).annotation_plan(
-                source="static"
-            )
+        plan = (
+            get_equivalence_map(workload).collapse(state.points).annotation_plan()
+        )
     return _execute(
         runner, state.points, args, resume=True,
         seed=state.header.get("seed"), plan=plan,
@@ -935,13 +871,6 @@ def main(argv: list[str] | None = None) -> int:
         "representatives: inject only representatives, back-annotate dead "
         "and follower points into the journal (named core targets only; "
         "composes with --pruned)",
-    )
-    run_p.add_argument(
-        "--static", action="store_true",
-        help="annotate points proven benign by the binary-level static "
-        "dataflow layer (pruned_by=\"static\"); alone or composing with "
-        "--defuse, where static claims take precedence (named core targets "
-        "only)",
     )
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument(

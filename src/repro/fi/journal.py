@@ -220,8 +220,8 @@ class CampaignJournal:
         ``seconds`` is the measured wall time of the injection and
         ``worker`` the OS pid of the process that executed it; both are
         optional telemetry used by ``python -m repro.fi report``.
-        ``pruned_by`` names the static layer that decided this outcome
-        without simulation (e.g. ``"defuse"``); ``equivalence_rep`` is the
+        ``pruned_by`` names the pruning layer that decided this outcome
+        without simulation (``"defuse"``); ``equivalence_rep`` is the
         (dff, cycle) representative whose injected outcome a back-annotated
         point inherits. Both travel through the forward-compat ``details``
         path on load.

@@ -149,6 +149,10 @@ class RunnerConfig:
     store_path: str | Path | None = None
 
 
+#: The ``pruned_by`` journal detail of every point an AnnotationPlan decides.
+PRUNED_BY = "defuse"
+
+
 @dataclass(frozen=True)
 class AnnotationPlan:
     """Static back-annotation plan for one concrete point list.
@@ -157,16 +161,12 @@ class AnnotationPlan:
     ``CollapsePlan.annotation_plan()``): ``dead`` indices are provably
     benign and journaled without simulation; each ``follows`` entry maps a
     follower index to the representative index whose injected outcome it
-    inherits the moment that record lands. ``source`` names the pruning
-    layer for the journal's ``pruned_by`` detail; ``sources`` overrides it
-    per index for plans composed from several layers (e.g. static-dead
-    points inside a def-use collapse carry ``pruned_by="static"``).
+    inherits the moment that record lands. Every point it decides is
+    journaled with ``pruned_by="defuse"``.
     """
 
     dead: tuple[int, ...] = ()
     follows: Mapping[int, int] = field(default_factory=dict)
-    source: str = "defuse"
-    sources: Mapping[int, str] = field(default_factory=dict)
 
     def followers_of(self) -> dict[int, list[int]]:
         """Representative index → sorted follower indices."""
@@ -338,7 +338,6 @@ class CampaignRunner:
             self.golden_wall_seconds = time.monotonic() - start
         self.netlist_hash = netlist_content_hash(self.target.simulator.netlist)
         self._dashboard: CampaignDashboard | None = None
-        self._plan: AnnotationPlan | None = None
         self._plan_followers: dict[int, list[int]] = {}
         self._run_points: list[tuple[str, int]] = []
         self._run_started = time.monotonic()
@@ -462,7 +461,6 @@ class CampaignRunner:
             total_points=len(points),
             skipped=len(done),
         )
-        self._plan = plan
         self._plan_followers = plan.followers_of() if plan is not None else {}
         self._run_points = points
         skip_static: set[int] = (
@@ -505,7 +503,6 @@ class CampaignRunner:
                 )
         finally:
             self._dashboard = None
-            self._plan = None
             self._plan_followers = {}
             self._run_points = []
             if parent_writer is not None:
@@ -605,7 +602,7 @@ class CampaignRunner:
                 self._record(
                     journal, done, report, index, points[index],
                     Outcome.BENIGN, attempts=0,
-                    annotation={"pruned_by": plan.sources.get(index, plan.source)},
+                    annotation={"pruned_by": PRUNED_BY},
                 )
         for follower, rep in sorted(plan.follows.items()):
             if follower not in done and rep in done:
@@ -613,7 +610,7 @@ class CampaignRunner:
                     journal, done, report, follower, points[follower],
                     done[rep].outcome, attempts=0,
                     annotation={
-                        "pruned_by": plan.sources.get(follower, plan.source),
+                        "pruned_by": PRUNED_BY,
                         "equivalence_rep": points[rep],
                     },
                 )
@@ -662,18 +659,12 @@ class CampaignRunner:
         # A freshly-landed representative decides its followers right away.
         followers = self._plan_followers.get(index)
         if annotation is None and followers:
-            plan = self._plan
             for follower in followers:
                 if follower not in done:
-                    source = (
-                        plan.sources.get(follower, plan.source)
-                        if plan is not None
-                        else "defuse"
-                    )
                     self._record(
                         journal, done, report, follower,
                         self._run_points[follower], outcome, attempts=0,
-                        annotation={"pruned_by": source, "equivalence_rep": point},
+                        annotation={"pruned_by": PRUNED_BY, "equivalence_rep": point},
                     )
 
     def _retry_delay(self, attempt: int) -> float:

@@ -6,7 +6,6 @@ Usage::
     python -m repro.lint avr --audit-mates        # core + cached MATE audit
     python -m repro.lint avr msp430 --mate-engine sat   # SAT-backed audit
     python -m repro.lint avr --audit-prune        # def-use pruning audit
-    python -m repro.lint avr --audit-dataflow --rules 'dataflow.*'
     python -m repro.lint design.json              # netlist in JSON form
     python -m repro.lint design.v --format json   # structural Verilog
     python -m repro.lint avr --write-baseline lint-baseline.json
@@ -34,13 +33,13 @@ NAMED_TARGETS = ("figure1", "avr", "msp430")
 
 def _load_target(
     name: str, audit_mates: bool, audit_prune: bool = False,
-    prune_program: str = "fib", audit_dataflow: bool = False,
+    prune_program: str = "fib",
 ) -> LintTarget:
     """Resolve a CLI target argument to a :class:`LintTarget`."""
     if name == "figure1":
-        if audit_prune or audit_dataflow:
+        if audit_prune:
             raise ValueError(
-                "--audit-prune/--audit-dataflow need a sequential design "
+                "--audit-prune needs a sequential design "
                 "(avr, msp430); figure1 has no flip-flops"
             )
         from repro.eval.example_circuit import (
@@ -61,16 +60,11 @@ def _load_target(
         from repro.eval.context import get_netlist, get_search
 
         netlist = get_netlist(name)
-        if audit_prune or audit_dataflow:
+        if audit_prune:
+            from repro.prune import get_prune_audit
+
             target = LintTarget(name=f"{name}-{prune_program}", netlist=netlist)
-            if audit_prune:
-                from repro.prune import get_prune_audit
-
-                target.prune = get_prune_audit(f"{name}-{prune_program}")
-            if audit_dataflow:
-                from repro.prune import get_dataflow_audit
-
-                target.dataflow = get_dataflow_audit(f"{name}-{prune_program}")
+            target.prune = get_prune_audit(f"{name}-{prune_program}")
             if audit_mates:
                 search_target = LintTarget.for_search(
                     netlist, get_search(name, False)
@@ -92,8 +86,6 @@ def _load_target(
         raise ValueError("--audit-mates requires a named design target")
     if audit_prune:
         raise ValueError("--audit-prune requires avr or msp430")
-    if audit_dataflow:
-        raise ValueError("--audit-dataflow requires avr or msp430")
     from repro.cells.nangate15 import nangate15_library
 
     text = path.read_text(encoding="utf-8")
@@ -158,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--rules",
         metavar="ID[,ID...]",
-        help="run only these rule ids or glob patterns, e.g. 'dataflow.*' "
+        help="run only these rule ids or glob patterns, e.g. 'prune.*' "
         "(default: all)",
     )
     parser.add_argument(
@@ -204,27 +196,10 @@ def main(argv: list[str] | None = None) -> int:
         "ground-truth injections (avr/msp430 only)",
     )
     parser.add_argument(
-        "--audit-dataflow",
-        action="store_true",
-        help="audit the binary-level static dataflow layer "
-        "(repro.prune.dataflow) with the dataflow.* rules: full "
-        "certificate re-derivation plus sampled ground-truth injections "
-        "(avr/msp430 only)",
-    )
-    parser.add_argument(
         "--prune-program",
         choices=("fib", "conv"),
         default="fib",
-        help="workload for --audit-prune / --audit-dataflow "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--dataflow-samples",
-        type=int,
-        default=LintConfig.dataflow_samples,
-        metavar="N",
-        help="sampled statically-dead points injected by "
-        "dataflow.dead-refuted (default: %(default)s)",
+        help="workload for --audit-prune (default: %(default)s)",
     )
     parser.add_argument(
         "--prune-samples",
@@ -259,7 +234,6 @@ def main(argv: list[str] | None = None) -> int:
         mate_engine=args.mate_engine,
         prune_samples=args.prune_samples,
         prune_seed=args.prune_seed,
-        dataflow_samples=args.dataflow_samples,
     )
     reports = []
     for name in args.targets:
@@ -273,7 +247,6 @@ def main(argv: list[str] | None = None) -> int:
                 name, audit,
                 audit_prune=args.audit_prune,
                 prune_program=args.prune_program,
-                audit_dataflow=args.audit_dataflow,
             )
             reports.append(
                 run_lint(

@@ -53,12 +53,6 @@ class LintConfig:
     prune_cert_cycles: int = 4
     #: RNG seed for all ``prune.*`` sampling.
     prune_seed: int = 0
-    #: Statically-dead (register, cycle) points the ``dataflow.dead-refuted``
-    #: ground-truth rule injects per target; the ``dataflow.claim-invalid``
-    #: re-derivation checks *every* claim (it costs zero simulations).
-    dataflow_samples: int = 12
-    #: RNG seed for ``dataflow.*`` sampling.
-    dataflow_seed: int = 0
 
 
 @dataclass
@@ -77,10 +71,6 @@ class LintTarget:
     #: equivalence map, golden trace/reads, and a lazy ground-truth
     #: campaign for the ``prune.*`` rules.
     prune: "object | None" = None
-    #: Static dataflow audit bundle (:class:`repro.prune.DataflowAudit`):
-    #: program CFG, static prune map, and a lazy ground-truth campaign for
-    #: the ``dataflow.*`` rules.
-    dataflow: "object | None" = None
 
     @classmethod
     def for_netlist(cls, netlist: "Netlist", name: str | None = None) -> "LintTarget":
@@ -150,17 +140,6 @@ class LintTarget:
         target_name = name or getattr(audit, "target_name", "prune")
         return cls(name=target_name, netlist=netlist, prune=audit)
 
-    @classmethod
-    def for_dataflow(
-        cls,
-        audit: "object",
-        netlist: "Netlist | None" = None,
-        name: str | None = None,
-    ) -> "LintTarget":
-        """Target auditing a static dataflow map against ground truth."""
-        target_name = name or getattr(audit, "target_name", "dataflow")
-        return cls(name=target_name, netlist=netlist, dataflow=audit)
-
     def facets(self) -> frozenset[str]:
         """Which facets this target can offer to rules."""
         present = set()
@@ -174,8 +153,6 @@ class LintTarget:
             present.add("unmatched")
         if self.prune is not None:
             present.add("prune")
-        if self.dataflow is not None:
-            present.add("dataflow")
         return frozenset(present)
 
 
@@ -350,7 +327,6 @@ def default_registry() -> RuleRegistry:
     # Importing the rule modules has the side effect of registering their
     # rules; repeat imports are no-ops.
     from repro.lint import (  # noqa: F401
-        rules_dataflow,
         rules_netlist,
         rules_prune,
         rules_rtl,

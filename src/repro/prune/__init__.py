@@ -17,12 +17,6 @@ state differs in the flipped bit).
 Every claim ships as a machine-checkable :class:`IntervalClaim` certificate
 that :mod:`repro.prune.certificate` re-derives with an independent scalar
 full-netlist evaluation — zero injection simulations on the happy path.
-
-:mod:`repro.prune.dataflow` adds the trace-*independent* third layer: a
-binary-level CFG + backward-liveness fixpoint proving registers dead over
-**all** paths, with :class:`StaticClaim` certificates re-derived by an
-independent per-path checker and intersected with the golden trace's
-PC-per-cycle sampling into a :class:`StaticPruneMap`.
 """
 
 from repro.prune.access import EVENT_ESCAPE, EVENT_HOLD, EVENT_KILL, wire_events
@@ -36,21 +30,6 @@ from repro.prune.analyze import (
     get_prune_audit,
 )
 from repro.prune.certificate import classify_cycle, verify_claim
-from repro.prune.dataflow import (
-    DataflowAnalysis,
-    DataflowAudit,
-    ProgramCFG,
-    StaticClaim,
-    StaticPruneMap,
-    analyze_dataflow,
-    collapse_static,
-    dead_facts,
-    decode_program,
-    get_dataflow_analysis,
-    get_dataflow_audit,
-    get_static_map,
-    verify_static_claim,
-)
 from repro.prune.defuse import (
     CollapsePlan,
     EquivalenceMap,
@@ -64,32 +43,19 @@ __all__ = [
     "EVENT_HOLD",
     "EVENT_KILL",
     "CollapsePlan",
-    "DataflowAnalysis",
-    "DataflowAudit",
     "DefUseAnalysis",
     "EquivalenceMap",
     "IntervalClaim",
-    "ProgramCFG",
     "PruneAccounting",
     "PruneAudit",
-    "StaticClaim",
-    "StaticPruneMap",
     "WireClasses",
     "account",
-    "analyze_dataflow",
     "analyze_target",
     "build_layered_space",
     "classify_cycle",
-    "collapse_static",
-    "dead_facts",
-    "decode_program",
     "get_analysis",
-    "get_dataflow_analysis",
-    "get_dataflow_audit",
     "get_equivalence_map",
     "get_prune_audit",
-    "get_static_map",
     "partition_events",
-    "verify_static_claim",
     "wire_events",
 ]

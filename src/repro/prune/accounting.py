@@ -1,17 +1,15 @@
 """Cross-layer pruning accounting over one fault space.
 
-Folds the gate-level MATE layer, the architecture-level def-use layer, and
-the binary-level static dataflow layer into one layered
-:class:`~repro.core.faultspace.FaultSpace` and reduces it to the headline
-numbers of the `eval prune` table: points total, pruned per layer,
-cross-layer overlaps, and representatives still to inject.
+Folds the gate-level MATE layer and the architecture-level def-use layer
+into one layered :class:`~repro.core.faultspace.FaultSpace` and reduces it
+to the headline numbers of the `eval prune` table: points total, pruned
+per layer, their overlap, and representatives still to inject.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,13 +17,9 @@ from repro.core.faultspace import FaultSpace
 from repro.netlist.netlist import Netlist
 from repro.prune.defuse import EquivalenceMap
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.prune.dataflow import StaticPruneMap
-
 #: Layer names used consistently across journal details, store, and eval.
 LAYER_MATE = "mate"
 LAYER_DEFUSE = "defuse"
-LAYER_STATIC = "static"
 
 
 def build_layered_space(
@@ -33,15 +27,13 @@ def build_layered_space(
     golden_cycles: int,
     equivalence_map: EquivalenceMap | None = None,
     mate_vectors: Mapping[str, np.ndarray] | None = None,
-    static_map: StaticPruneMap | None = None,
 ) -> FaultSpace:
     """A FaultSpace with per-layer attribution for one design/workload.
 
     ``mate_vectors`` maps fault (Q) wires to per-cycle MATE-triggered
     vectors (any length; clipped to ``golden_cycles``); the def-use layer
     marks dead points *and* followers — everything a collapsed campaign
-    skips; the static layer marks the trace-independent register-dead
-    points of :class:`~repro.prune.dataflow.StaticPruneMap`.
+    skips.
     """
     fault_wires = [dff.q for dff in netlist.dffs.values()]
     space = FaultSpace(fault_wires, golden_cycles)
@@ -57,11 +49,6 @@ def build_layered_space(
                 equivalence_map.pruned_vector(dff_name),
                 layer=LAYER_DEFUSE,
             )
-    if static_map is not None:
-        for dff_name, dff in netlist.dffs.items():
-            vector = static_map.pruned_vector(dff_name)
-            if vector.any():
-                space.mark_benign_cycles(dff.q, vector, layer=LAYER_STATIC)
     return space
 
 
@@ -79,23 +66,11 @@ class PruneAccounting:
     dead_points: int
     collapsed_points: int
     representatives: int
-    static_pruned: int = 0
-    static_mate: int = 0
-    static_defuse: int = 0
-    all_layers: int = 0
 
     @property
     def union(self) -> int:
         """Points pruned by at least one layer (inclusion-exclusion)."""
-        return (
-            self.mate_pruned
-            + self.defuse_pruned
-            + self.static_pruned
-            - self.both
-            - self.static_mate
-            - self.static_defuse
-            + self.all_layers
-        )
+        return self.mate_pruned + self.defuse_pruned - self.both
 
     @property
     def remaining(self) -> int:
@@ -107,10 +82,6 @@ class PruneAccounting:
         return self.defuse_pruned / self.space_points if self.space_points else 0.0
 
     @property
-    def static_fraction(self) -> float:
-        return self.static_pruned / self.space_points if self.space_points else 0.0
-
-    @property
     def union_fraction(self) -> float:
         return self.union / self.space_points if self.space_points else 0.0
 
@@ -120,12 +91,6 @@ class PruneAccounting:
         if self.mate_pruned:
             counts[LAYER_MATE] = self.mate_pruned
             counts["both"] = self.both
-        if self.static_pruned:
-            counts[LAYER_STATIC] = self.static_pruned
-            counts[f"{LAYER_DEFUSE}&{LAYER_STATIC}"] = self.static_defuse
-            if self.mate_pruned:
-                counts[f"{LAYER_MATE}&{LAYER_STATIC}"] = self.static_mate
-                counts["all"] = self.all_layers
         return counts
 
 
@@ -134,7 +99,6 @@ def account(
     netlist: Netlist,
     equivalence_map: EquivalenceMap,
     mate_vectors: Mapping[str, np.ndarray] | None = None,
-    static_map: StaticPruneMap | None = None,
 ) -> PruneAccounting:
     """Reduce the layered space for one target to its accounting row."""
     golden_cycles = equivalence_map.golden_cycles
@@ -143,7 +107,6 @@ def account(
         golden_cycles,
         equivalence_map=equivalence_map,
         mate_vectors=mate_vectors,
-        static_map=static_map,
     )
     return PruneAccounting(
         target=target_name,
@@ -156,10 +119,4 @@ def account(
         dead_points=equivalence_map.num_dead_points,
         collapsed_points=equivalence_map.num_follower_points,
         representatives=equivalence_map.num_representatives,
-        static_pruned=space.layer_benign(LAYER_STATIC),
-        static_mate=space.layer_overlap(LAYER_MATE, LAYER_STATIC),
-        static_defuse=space.layer_overlap(LAYER_DEFUSE, LAYER_STATIC),
-        all_layers=space.attribution().get("all", 0)
-        if static_map is not None and mate_vectors is not None
-        else 0,
     )

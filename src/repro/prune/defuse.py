@@ -151,9 +151,6 @@ class CollapsePlan:
     benign without simulation, ``follows`` maps each follower index to the
     index whose outcome it inherits (the first listed member of its
     interval), and ``executed`` holds the indices actually injected.
-    ``sources`` records, per annotated index, which layer proved it when it
-    differs from the plan-wide default (the static layer tags its dead
-    points ``"static"`` so journal provenance survives layer composition).
     """
 
     points: list[tuple[str, int]]
@@ -161,7 +158,6 @@ class CollapsePlan:
     follows: dict[int, int] = field(default_factory=dict)
     executed: list[int] = field(default_factory=list)
     claims: dict[int, IntervalClaim] = field(default_factory=dict)
-    sources: dict[int, str] = field(default_factory=dict)
 
     @property
     def num_points(self) -> int:
@@ -182,16 +178,11 @@ class CollapsePlan:
             f"{len(self.follows)} follow a representative"
         )
 
-    def annotation_plan(self, source: str = "defuse"):
+    def annotation_plan(self):
         """The runner-facing :class:`~repro.fi.runner.AnnotationPlan`."""
         from repro.fi.runner import AnnotationPlan
 
-        return AnnotationPlan(
-            dead=tuple(self.dead),
-            follows=dict(self.follows),
-            source=source,
-            sources=dict(self.sources),
-        )
+        return AnnotationPlan(dead=tuple(self.dead), follows=dict(self.follows))
 
 
 class EquivalenceMap:
@@ -280,31 +271,16 @@ class EquivalenceMap:
         return self.wires[dff].pruned_vector(include_followers)
 
     # -- campaign collapsing --------------------------------------------
-    def collapse(
-        self,
-        points: Sequence[tuple[str, int]],
-        static_map=None,
-    ) -> CollapsePlan:
+    def collapse(self, points: Sequence[tuple[str, int]]) -> CollapsePlan:
         """Collapse a concrete (dff, cycle) point list onto representatives.
 
         The representative of each interval is the *first occurrence in the
         list* of any of its members (so the injected point is always one the
         caller asked for, and duplicate points fold onto the first copy).
-
-        With a :class:`~repro.prune.dataflow.StaticPruneMap`, statically-dead
-        points are claimed benign first and tagged ``sources="static"`` —
-        checked *before* the def-use interval because static-dead is
-        contained in dynamic-dead on the golden trace, so the dynamic check
-        would otherwise absorb every static win. Static-dead members never
-        become interval representatives; election happens among the rest.
         """
         plan = CollapsePlan(points=[(dff, int(cycle)) for dff, cycle in points])
         first_seen: dict[tuple[str, int], int] = {}
         for index, (dff, cycle) in enumerate(plan.points):
-            if static_map is not None and static_map.is_dead(dff, cycle):
-                plan.dead.append(index)
-                plan.sources[index] = "static"
-                continue
             claim = self.interval_of(dff, cycle)
             plan.claims[index] = claim
             if claim.kind == KIND_DEAD:

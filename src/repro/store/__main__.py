@@ -121,8 +121,6 @@ def _cmd_list(store: ResultsStore, args: argparse.Namespace) -> int:
             space = "pruned" if c.pruned else "full"
             if c.defuse:
                 space += "+defuse"
-            if c.static:
-                space += "+static"
             if c.distributed:
                 space += "+dist"
             rows.append([
@@ -176,7 +174,6 @@ def _cmd_show(store: ResultsStore, args: argparse.Namespace) -> int:
         f"{c.num_points} point(s) planned, "
         f"{'pruned-space' if c.pruned else 'full-space'} sample"
         f"{', def-use collapsed' if c.defuse else ''}"
-        f"{', static collapsed' if c.static else ''}"
         f"{', distributed (merged from shards)' if c.distributed else ''}"
     )
     if c.space_points:
@@ -197,11 +194,6 @@ def _cmd_show(store: ResultsStore, args: argparse.Namespace) -> int:
         print(
             f"collapse:  {c.defuse_injected} representative(s) injected, "
             f"{c.defuse_annotated} point(s) back-annotated"
-        )
-    if c.static and c.static_annotated is not None:
-        print(
-            f"static:    {c.static_annotated} point(s) annotated dead by the "
-            f"dataflow layer"
         )
     if c.journal_path:
         print(f"journal:   {c.journal_path}")

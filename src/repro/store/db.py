@@ -7,20 +7,20 @@ runs — "did this refactor flip any injection outcome?", "which flip-flops
 dominate SDC?", "is campaign throughput trending up?" — become queries
 instead of archaeology.
 
-Schema (``SCHEMA_VERSION`` = 4, pinned in the ``meta`` table)::
+Schema (``SCHEMA_VERSION`` = 5, pinned in the ``meta`` table)::
 
     campaigns      one row per ingested journal, keyed like a resume:
                    (netlist_hash, workload, points_hash, seed, defuse,
-                   static, distributed) — re-ingesting the same campaign
-                   replaces the old rows; the ``defuse``/``static`` flags
-                   keep collapsed (``fi run --defuse``/``--static``) and
-                   full campaigns over the same point list side by side,
+                   distributed) — re-ingesting the same campaign
+                   replaces the old rows; the ``defuse`` flag keeps
+                   collapsed (``fi run --defuse``) and full campaigns
+                   over the same point list side by side,
                    ``distributed`` does the same for merged coordinator
                    campaigns (so a distributed run never clobbers its
                    single-host reference and the two stay diffable), and
                    the ``layers`` JSON column carries the per-layer
-                   pruned-point counts (mate / defuse / static with
-                   pairwise overlaps)
+                   pruned-point counts (mate / defuse and their
+                   overlap)
     outcomes       one row per fault-space point: (campaign_id, point_index)
                    with the key (dff, bit, cycle) and classification; rows
                    whose outcome was back-annotated from an equivalence
@@ -50,15 +50,14 @@ from pathlib import Path
 
 from repro.obs import counter, span
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: Fields that identify "the same campaign" across ingests (the journal's
 #: resume key, minus the derived counts, plus the collapse/execution flags
 #: so a collapsed or distributed run never clobbers its full-campaign,
 #: single-host control).
 CAMPAIGN_KEY = (
-    "netlist_hash", "workload", "points_hash", "seed", "defuse", "static",
-    "distributed",
+    "netlist_hash", "workload", "points_hash", "seed", "defuse", "distributed",
 )
 
 _SCHEMA = """
@@ -82,8 +81,6 @@ CREATE TABLE IF NOT EXISTS campaigns (
     defuse           INTEGER NOT NULL DEFAULT 0,
     defuse_injected  INTEGER,
     defuse_annotated INTEGER,
-    static           INTEGER NOT NULL DEFAULT 0,
-    static_annotated INTEGER,
     distributed      INTEGER NOT NULL DEFAULT 0,
     layers           TEXT,
     journal_path  TEXT,
@@ -171,16 +168,11 @@ class CampaignRow:
     defuse: bool
     defuse_injected: int | None
     defuse_annotated: int | None
-    #: Static dataflow collapse (``fi run --static``): trace-independent
-    #: register-dead points were back-annotated as benign.
-    static: bool
-    static_annotated: int | None
     #: Merged from a sharded coordinator campaign (``fi serve``/``submit``)
     #: rather than a single-host run.
     distributed: bool
     #: Per-layer fault-space pruning attribution, e.g.
-    #: ``{"mate": 812, "defuse": 1430, "both": 96, "static": 320,
-    #: "defuse&static": 320}``.
+    #: ``{"mate": 812, "defuse": 1430, "both": 96}``.
     layers: dict[str, int] | None
     journal_path: str | None
     label: str | None
@@ -303,7 +295,6 @@ class ResultsStore:
             header = state.header
             meta = header.get("meta") or {}
             defuse = int(bool(meta.get("defuse")))
-            static = int(bool(meta.get("static")))
             distributed = int(bool(meta.get("distributed")))
             layers = meta.get("layers")
             key = {
@@ -312,23 +303,21 @@ class ResultsStore:
                 "points_hash": header.get("points_hash"),
                 "seed": header.get("seed"),
                 "defuse": defuse,
-                "static": static,
                 "distributed": distributed,
             }
             self._conn.execute(
                 "DELETE FROM campaigns WHERE netlist_hash IS ? AND "
                 "workload IS ? AND points_hash IS ? AND seed IS ? AND "
-                "defuse IS ? AND static IS ? AND distributed IS ?",
+                "defuse IS ? AND distributed IS ?",
                 tuple(key.values()),
             )
             cursor = self._conn.execute(
                 "INSERT INTO campaigns (workload, netlist_hash, points_hash,"
                 " seed, num_points, golden_cycles, max_cycles, complete,"
                 " pruned, space_points, pruned_points, defuse,"
-                " defuse_injected, defuse_annotated, static,"
-                " static_annotated, distributed, layers, journal_path,"
-                " label, ingested_at)"
-                " VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
+                " defuse_injected, defuse_annotated, distributed, layers,"
+                " journal_path, label, ingested_at)"
+                " VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
                 (
                     key["workload"],
                     key["netlist_hash"],
@@ -344,8 +333,6 @@ class ResultsStore:
                     defuse,
                     meta.get("defuse_injected"),
                     meta.get("defuse_annotated"),
-                    static,
-                    meta.get("static_annotated"),
                     distributed,
                     json.dumps(layers, sort_keys=True) if layers else None,
                     str(journal_path),
@@ -501,8 +488,7 @@ class ResultsStore:
         "id, workload, netlist_hash, points_hash, seed, num_points,"
         " golden_cycles, max_cycles, complete, pruned, space_points,"
         " pruned_points, defuse, defuse_injected, defuse_annotated,"
-        " static, static_annotated, distributed, layers,"
-        " journal_path, label, ingested_at"
+        " distributed, layers, journal_path, label, ingested_at"
     )
 
     def campaigns(self) -> list[CampaignRow]:
@@ -519,10 +505,9 @@ class ResultsStore:
             seed=r[4], num_points=r[5], golden_cycles=r[6], max_cycles=r[7],
             complete=bool(r[8]), pruned=bool(r[9]), space_points=r[10],
             pruned_points=r[11], defuse=bool(r[12]), defuse_injected=r[13],
-            defuse_annotated=r[14], static=bool(r[15]),
-            static_annotated=r[16], distributed=bool(r[17]),
-            layers=json.loads(r[18]) if r[18] else None,
-            journal_path=r[19], label=r[20], ingested_at=r[21],
+            defuse_annotated=r[14], distributed=bool(r[15]),
+            layers=json.loads(r[16]) if r[16] else None,
+            journal_path=r[17], label=r[18], ingested_at=r[19],
         )
 
     def campaign(self, campaign_id: int) -> CampaignRow:

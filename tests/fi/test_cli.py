@@ -8,6 +8,7 @@ record-for-record identical to an uninterrupted run.
 
 import json
 import os
+from collections import Counter
 import signal
 import subprocess
 import sys
@@ -52,6 +53,14 @@ def _records(journal_path):
             if doc.get("kind") == "record":
                 out[doc["i"]] = (doc["dff"], doc["cycle"], doc["outcome"])
     return [out[i] for i in sorted(out)]
+
+
+def _annotated(journal_path):
+    """Indices of the records decided without simulation (``pruned_by``)."""
+    from repro.fi.journal import load_journal
+
+    details = load_journal(journal_path).details
+    return sorted(i for i, detail in details.items() if "pruned_by" in detail)
 
 
 def _start_and_wait_for_records(journal, *extra_args, min_records=10):
@@ -208,6 +217,58 @@ class TestStatusReport:
         out = capsys.readouterr().out
         assert "last rate: 1.0 injections/s" in out
         assert "eta ~1s for 1 remaining" in out
+
+
+class TestLegacyStaticJournal:
+    """Collapsed journals written with the removed static liveness layer
+    (header meta ``{"defuse": true, "static": true}``) still resume and
+    ingest. Its dead points were all def-use dead, so the def-use plan
+    rebuilt on resume is the plan the journal was started under."""
+
+    #: Dense enough that some followers' representatives land after the
+    #: --limit stop, so only a rebuilt plan back-annotates them.
+    RUN = ("--target", "avr-fib", "--sampled", "300", "--seed", "11",
+           "--defuse", "--workers", "0", "--no-store")
+
+    def _legacy(self, tmp_path):
+        """A partial ``--defuse`` journal relabeled as a static+defuse one."""
+        from repro.fi.__main__ import main
+
+        journal = tmp_path / "legacy.jsonl"
+        assert main(["run", *self.RUN, "--limit", "2",
+                     "--journal", str(journal)]) == 0
+        lines = [json.loads(line) for line in journal.read_text().splitlines()]
+        lines[0]["meta"].update(static=True, static_annotated=1)
+        dead = next(doc for doc in lines[1:] if doc.get("pruned_by")
+                    and "equivalence_rep" not in doc)
+        dead["pruned_by"] = "static"
+        journal.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
+        return journal
+
+    def test_resume_and_ingest_match_a_fresh_defuse_run(self, tmp_path):
+        from repro.fi.__main__ import main
+        from repro.fi.journal import load_journal
+        from repro.store import ResultsStore
+
+        fresh = tmp_path / "fresh.jsonl"
+        assert main(["run", *self.RUN, "--journal", str(fresh)]) == 0
+        legacy = self._legacy(tmp_path)
+        assert not load_journal(legacy).complete
+        assert main(["resume", "--journal", str(legacy), "--workers", "0",
+                     "--no-store"]) == 0
+
+        assert load_journal(legacy).complete
+        assert _records(legacy) == _records(fresh)
+        # Same plan: exactly the fresh run's points skipped simulation.
+        assert _annotated(legacy) == _annotated(fresh)
+
+        with ResultsStore(tmp_path / "w.sqlite3") as store:
+            cid = store.ingest_journal(legacy)
+            row = store.campaign(cid)
+            assert row.defuse and row.complete
+            assert store.outcome_tally(cid) == dict(
+                Counter(outcome for _, _, outcome in _records(fresh))
+            )
 
 
 class TestCliErrors:

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.prune import EquivalenceMap, IntervalClaim, partition_events
+from repro.core.faultspace import FaultSpace
+from repro.prune import (
+    EquivalenceMap,
+    IntervalClaim,
+    PruneAccounting,
+    account,
+    build_layered_space,
+    partition_events,
+)
 from repro.prune.defuse import KIND_DEAD, KIND_LIVE, KIND_TAIL, WireClasses
 
 
@@ -171,8 +179,64 @@ class TestCollapse:
         assert isinstance(annotation, AnnotationPlan)
         assert annotation.dead == (0,)
         assert annotation.follows == {2: 1}
-        assert annotation.source == "defuse"
         annotation.validate(3)
+
+
+class TestTwoLayerAccounting:
+    """MATE × def-use accounting: the layered grid and its headline row."""
+
+    #: 2 wires × 4 cycles; mate {w0@0, w0@1, w1@3}, defuse {w0@0, w0@2, w1@3}.
+    MATE = {"w0": [1, 1, 0, 0], "w1": [0, 0, 0, 1]}
+    DEFUSE = {"w0": [1, 0, 1, 0], "w1": [0, 0, 0, 1]}
+
+    def _grid(self):
+        space = FaultSpace(["w0", "w1"], 4)
+        for wire in space.fault_wires:
+            space.mark_benign_cycles(wire, np.array(self.MATE[wire]), layer="mate")
+            space.mark_benign_cycles(
+                wire, np.array(self.DEFUSE[wire]), layer="defuse"
+            )
+        return space
+
+    def test_grid_attribution_has_the_overlap(self):
+        space = self._grid()
+        assert space.attribution() == {"mate": 3, "defuse": 3, "both": 2}
+        assert space.num_benign == 4
+
+    def test_union_is_inclusion_exclusion(self):
+        space = self._grid()
+        counts = space.attribution()
+        row = PruneAccounting(
+            target="t", num_wires=2, golden_cycles=4, space_points=space.size,
+            mate_pruned=counts["mate"], defuse_pruned=counts["defuse"],
+            both=counts["both"], dead_points=0, collapsed_points=0,
+            representatives=0,
+        )
+        assert row.union == 3 + 3 - 2 == space.num_benign
+        assert row.remaining == space.num_remaining == 4
+        assert row.layers() == {"mate": 3, "defuse": 3, "both": 2}
+
+    def test_defuse_alone_has_no_mate_keys(self):
+        row = PruneAccounting(
+            target="t", num_wires=1, golden_cycles=4, space_points=4,
+            mate_pruned=0, defuse_pruned=3, both=0, dead_points=1,
+            collapsed_points=2, representatives=1,
+        )
+        assert row.layers() == {"defuse": 3}
+        assert row.union == 3 and row.remaining == 1
+
+    def test_account_matches_the_layered_space(self, emap, netlist):
+        cycles = emap.golden_cycles
+        mate_vectors = {
+            dff.q: np.arange(cycles) % 2 == 0 for dff in netlist.dffs.values()
+        }
+        row = account("fixture", netlist, emap, mate_vectors)
+        space = build_layered_space(netlist, cycles, emap, mate_vectors)
+        assert set(row.layers()) == {"mate", "defuse", "both"}
+        assert row.defuse_pruned == emap.num_pruned_points
+        assert row.both == space.layer_overlap("mate", "defuse")
+        assert row.union == space.num_benign
+        assert row.remaining == space.num_remaining
 
 
 class TestIntervalClaimDescribe:

@@ -13,6 +13,9 @@ DEFUSE_META = {
     "defuse_annotated": 2,
     "layers": {"mate": 4, "defuse": 7, "both": 2},
 }
+#: The same campaign as written with the removed static liveness layer:
+#: ingest ignores its ``static`` keys.
+LEGACY_META = {**DEFUSE_META, "static": True, "static_annotated": 1}
 
 #: q1@2 (index 2) follows the representative q1@2 (index 1); q3@0 is a
 #: statically-benign dead point.
@@ -22,20 +25,21 @@ PROVENANCE = {
 }
 
 
-def _collapsed_journal(path, **kwargs):
-    return make_journal(
-        path, meta=DEFUSE_META, provenance=PROVENANCE, **kwargs
-    )
+def _collapsed_journal(path, meta=DEFUSE_META, **kwargs):
+    return make_journal(path, meta=meta, provenance=PROVENANCE, **kwargs)
 
 
 class TestSchemaRoundTrip:
     def test_campaign_row_carries_collapse_metadata(self, store, tmp_path):
-        cid = store.ingest_journal(_collapsed_journal(tmp_path / "c.jsonl"))
-        c = store.campaign(cid)
-        assert c.defuse
-        assert c.defuse_injected == 3
-        assert c.defuse_annotated == 2
-        assert c.layers == {"mate": 4, "defuse": 7, "both": 2}
+        for meta in (DEFUSE_META, LEGACY_META):
+            cid = store.ingest_journal(
+                _collapsed_journal(tmp_path / "c.jsonl", meta=meta)
+            )
+            c = store.campaign(cid)
+            assert c.defuse
+            assert c.defuse_injected == 3
+            assert c.defuse_annotated == 2
+            assert c.layers == {"mate": 4, "defuse": 7, "both": 2}
 
     def test_plain_campaign_defaults(self, store, tmp_path):
         cid = store.ingest_journal(make_journal(tmp_path / "c.jsonl"))
@@ -75,6 +79,15 @@ class TestCampaignKey:
             _collapsed_journal(tmp_path / "defuse.jsonl")
         )
         assert {c.id for c in store.campaigns()} == {full, collapsed}
+
+    def test_legacy_static_journal_replaces_its_defuse_twin(
+        self, store, tmp_path
+    ):
+        store.ingest_journal(_collapsed_journal(tmp_path / "defuse.jsonl"))
+        legacy = store.ingest_journal(
+            _collapsed_journal(tmp_path / "legacy.jsonl", meta=LEGACY_META)
+        )
+        assert [c.id for c in store.campaigns()] == [legacy]
 
     def test_reingest_collapsed_replaces_collapsed(self, store, tmp_path):
         store.ingest_journal(make_journal(tmp_path / "full.jsonl"))
