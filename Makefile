@@ -70,8 +70,9 @@ prune-smoke:     ## def-use pruning: audit, accounting, collapsed-vs-full gate
 	$(PYTHON) -m repro.store --db $(SMOKE)/prune-smoke.sqlite3 heatmap 2 \
 		--compare 1 --out $(SMOKE)/prune-smoke-heatmap.html
 
-sim-equivalence: ## checkpointed injection vs replay from reset, 2000 points/core
-	$(PYTHON) -m pytest -q -m slow tests/fi/test_checkpoint_equivalence.py
+sim-equivalence: ## checkpointed injection vs replay, lane batches vs scalar injection; 2000 points/core
+	$(PYTHON) -m pytest -q -m slow tests/fi/test_checkpoint_equivalence.py \
+		tests/fi/test_lane_equivalence.py
 
 dist-smoke:      ## distributed service: 2 workers, one SIGKILLed, flip-free gate
 	mkdir -p $(SMOKE)

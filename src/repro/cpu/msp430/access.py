@@ -57,54 +57,6 @@ def registers_read(word: int) -> set[int]:
     return regs
 
 
-def registers_written(word: int) -> set[int]:
-    """RF registers an instruction word must fully overwrite.
-
-    Under-approximation (the dual of :func:`registers_read`): only writes
-    the core performs unconditionally are claimed — a register-mode Format
-    II destination, a register-mode Format I destination of a non-compare,
-    and the auto-incremented source pointer of an ``@Rn+`` operand.
-    Memory-destination writes, jumps, and anything outside the implemented
-    subset claim nothing.
-    """
-    word &= 0xFFFF
-    opcode = word >> 12
-    regs: set[int] = set()
-
-    if opcode == 0x1:  # Format II
-        func = (word >> 7) & 0x7
-        mode = (word >> 4) & 0x3
-        reg = word & 0xF
-        if (
-            func in isa.FORMAT2.values()
-            and mode == isa.MODE_REGISTER
-            and reg in RF_REGISTERS
-        ):
-            regs.add(reg)
-        return regs
-
-    if opcode in (0x2, 0x3):  # jumps write only the PC
-        return regs
-
-    mnemonic = {v: k for k, v in isa.FORMAT1.items()}.get(opcode)
-    if mnemonic is None:
-        return regs
-
-    src = (word >> 8) & 0xF
-    as_mode = (word >> 4) & 0x3
-    dst = word & 0xF
-    ad_mode = (word >> 7) & 0x1
-    if (
-        as_mode == isa.MODE_INDIRECT_INC
-        and (src, as_mode) not in isa.CONST_GENERATOR
-        and src in RF_REGISTERS
-    ):
-        regs.add(src)  # @Rn+ auto-increment
-    if mnemonic not in ("cmp", "bit") and ad_mode == 0 and dst in RF_REGISTERS:
-        regs.add(dst)
-    return regs
-
-
 def msp430_access_model(netlist: Netlist) -> RegisterAccessModel:
     """Def-use model over the synthesized MSP430 netlist's trace wires."""
     registers = {

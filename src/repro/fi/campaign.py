@@ -10,20 +10,54 @@ The golden run keeps one checkpoint per cycle (FF state plus a testbench
 snapshot), so an injection at cycle c simulates only the cycles from c on:
 the cycles before the fault are the golden ones, which the campaign has
 already simulated.
+
+:meth:`Campaign.inject_batch` runs up to :data:`LANES` injections at once
+in *golden-shadow lanes*: bit k of every FF value is injection k, stepped
+by the netlist's lane kernel on golden's recorded inputs. A lane that
+never differs from golden in an FF the testbench read or in an output
+makes the testbench behave exactly as in the golden run, so it is decided
+without a testbench of its own when golden halts. A lane that differs is
+*evicted*: it goes on alone on the scalar path from the cycle it left
+golden's shadow. :meth:`Campaign.inject` stays the plain scalar injection,
+the oracle the batch path is checked against.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable, Iterable, Sequence
+import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core.faultspace import FaultSpace
 from repro.fi.classify import Outcome
-from repro.obs import counter, gauge, progress_iter, span
+from repro.obs import counter, gauge, span
 from repro.sim.simulator import Checkpoint, SimulationResult, Simulator
 from repro.sim.testbench import Testbench
+
+#: Injections per lane batch: lane k is bit k of every FF value.
+LANES = 64
+
+
+def sample_points(
+    netlist, golden_cycles: int, num_samples: int, seed: int = 0
+) -> list[tuple[str, int]]:
+    """Uniformly sampled ``(dff, cycle)`` injection points.
+
+    The single source of the sampling order: :meth:`Campaign.run_sampled`,
+    ``CampaignRunner.sample_points`` and the distributed coordinator all
+    draw here, so every engine over the same target and seed injects the
+    same point list — the precondition for their journals being
+    record-for-record comparable.
+    """
+    rng = random.Random(seed)
+    names = list(netlist.dffs)
+    return [
+        (rng.choice(names), rng.randrange(golden_cycles))
+        for _ in range(num_samples)
+    ]
 
 
 @dataclass
@@ -54,6 +88,18 @@ class InjectionRecord:
     dff_name: str
     cycle: int
     outcome: Outcome
+
+
+class BatchOutcome(NamedTuple):
+    """One point's result from :meth:`Campaign.run_batch`."""
+
+    outcome: Outcome
+    #: Cycle at which the lane left golden's shadow and went on alone on
+    #: the scalar path; None when it was decided in the shadow.
+    left_golden: int | None
+    #: Wall seconds: the point's share of its batch's lane phase plus its
+    #: own work after it.
+    seconds: float
 
 
 @dataclass
@@ -100,35 +146,49 @@ class Campaign:
     def __init__(self, target: CampaignTarget, max_cycles: int = 50_000) -> None:
         self.target = target
         tb = target.make_testbench()
+        simulator = target.simulator
         #: Golden state at the start of every golden cycle, indexed by cycle.
         self.checkpoints: list[Checkpoint] = []
         with span("campaign/golden-run", target=target.name):
-            self._golden = target.simulator.run(
+            self._golden = simulator.run(
                 tb,
                 max_cycles=max_cycles,
                 record_trace=False,
                 checkpoints=self.checkpoints,
+                record_reads=True,
+                record_io=True,
             )
         if not self._golden.halted:
             raise ValueError(
                 f"golden run of {target.name} did not halt within {max_cycles} cycles"
             )
+        self._golden_tb = tb
         self._golden_observables = target.observables(tb, self._golden)
+        # What the lanes are held against, per golden cycle: the FFs the
+        # testbench read, the packed inputs it drove and the output bits.
+        self._golden_reads = [
+            tuple(simulator.dff_index[name] for name in names)
+            for names in self._golden.reads
+        ]
+        self._golden.reads = None  # the index tuples replace the name sets
         self.golden_cycles = self._golden.cycles
         #: Cycle budget of an injected run, counted from cycle 0.
         self.cycle_budget = int(self.golden_cycles * target.timeout_factor) + 8
 
     # ------------------------------------------------------------------
-    def run_injection(
-        self, dff_name: str, cycle: int
-    ) -> tuple[Testbench, SimulationResult]:
-        """Simulate one SEU from the golden checkpoint at ``cycle``."""
+    def _check_point(self, dff_name: str, cycle: int) -> None:
         if dff_name not in self.target.simulator.netlist.dffs:
             raise KeyError(f"unknown flip-flop {dff_name!r}")
         if not 0 <= cycle < self.golden_cycles:
             raise ValueError(
                 f"cycle {cycle} beyond the golden run ({self.golden_cycles})"
             )
+
+    def run_injection(
+        self, dff_name: str, cycle: int
+    ) -> tuple[Testbench, SimulationResult]:
+        """Simulate one SEU from the golden checkpoint at ``cycle``."""
+        self._check_point(dff_name, cycle)
         tb = self.target.make_testbench()
         with span("campaign/inject"):
             result = self.target.simulator.run(
@@ -155,42 +215,169 @@ class Campaign:
         counter(f"campaign.outcome.{outcome.value}").inc()
         return outcome
 
+    def inject_batch(self, points: Iterable[tuple[str, int]]) -> list[Outcome]:
+        """Outcomes of many SEUs, in input order, decided in lane batches.
+
+        Equal, point for point, to ``[inject(*p) for p in points]``.
+        """
+        return [batch.outcome for batch in self.run_batch(points)]
+
+    def run_batch(self, points: Iterable[tuple[str, int]]) -> list[BatchOutcome]:
+        """:meth:`inject_batch` with each point's provenance and wall time.
+
+        Points are sorted by cycle (stably) and cut into batches of up to
+        :data:`LANES`; per-point work runs in that order. Raises the
+        ``KeyError``/``ValueError`` of :meth:`run_injection` for an unknown
+        flip-flop or a cycle outside the golden run before simulating.
+        """
+        points = list(points)
+        for dff_name, cycle in points:
+            self._check_point(dff_name, cycle)
+        order = sorted(range(len(points)), key=lambda i: points[i][1])
+        results: list[BatchOutcome] = [None] * len(points)  # type: ignore[list-item]
+        for start in range(0, len(order), LANES):
+            batch = order[start : start + LANES]
+            for index, result in zip(
+                batch, self._run_lanes([points[i] for i in batch])
+            ):
+                results[index] = result
+        return results
+
+    def _run_lanes(self, points: list[tuple[str, int]]) -> list[BatchOutcome]:
+        """One lane batch: shadow golden, evict divergent lanes, decide all."""
+        simulator = self.target.simulator
+        if len(points) == 1:
+            # With one lane every value is 0 or 1, where the scalar kernel
+            # computes what the lane kernel does, faster and compiled already.
+            scalar = simulator.compiled.step
+
+            def step(state, inputs, mask):
+                return scalar(state, inputs, False)[:2]
+
+        else:
+            step = simulator.compiled.lane_step
+        mask = (1 << len(points)) - 1
+        rep = (0, mask)  # a golden bit, copied into every lane
+        flips: dict[int, list[tuple[int, int]]] = {}
+        for lane, (dff_name, cycle) in enumerate(points):
+            flips.setdefault(cycle, []).append(
+                (simulator.dff_index[dff_name], 1 << lane)
+            )
+        first = min(flips)
+        checkpoints, reads, io = self.checkpoints, self._golden_reads, self._golden.io
+        state = [rep[bit] for bit in checkpoints[first].state]
+        live = mask
+        #: Evicted lane -> (cycle, the FFs in which it then differs from golden).
+        left: dict[int, tuple[int, list[str]]] = {}
+        names = simulator.compiled.dff_names
+        started = time.perf_counter()
+        with span("campaign/lanes", lanes=len(points)):
+            for cycle in range(first, self.golden_cycles):
+                for index, bit in flips.get(cycle, ()):
+                    state[index] ^= bit
+                golden = checkpoints[cycle].state
+                diverged = 0
+                for index in reads[cycle]:
+                    diverged |= state[index] ^ rep[golden[index]]
+                in_bits, out_bits = io[cycle]
+                next_state, outputs = step(state, [rep[b] for b in in_bits], mask)
+                for value, bit in zip(outputs, out_bits):
+                    diverged |= value ^ rep[bit]
+                diverged &= live
+                if diverged:
+                    live ^= diverged
+                    for lane in range(len(points)):
+                        if diverged >> lane & 1:
+                            left[lane] = cycle, [
+                                names[index]
+                                for index, value in enumerate(state)
+                                if (value >> lane ^ golden[index]) & 1
+                            ]
+                    if not live:
+                        break
+                state = next_state
+        counter("campaign.lanes.batches").inc()
+        counter("campaign.lanes.evicted").inc(len(left))
+        counter("sim.cycles.lanes").inc(cycle - first + 1)
+        share = (time.perf_counter() - started) / len(points)
+
+        results = []
+        for lane in range(len(points)):
+            started = time.perf_counter()
+            evicted = left.get(lane)
+            with span("campaign/inject"):
+                if evicted is None:
+                    outcome = self._classify_shadow(state, lane)
+                    counter(f"campaign.lanes.shadow_{outcome.value}").inc()
+                else:
+                    # Golden's checkpoint at the eviction cycle, with every
+                    # FF the lane differs in flipped, is the lane's state.
+                    at, flipped = evicted
+                    tb = self.target.make_testbench()
+                    outcome = self.classify(
+                        tb,
+                        simulator.run(
+                            tb,
+                            max_cycles=self.cycle_budget,
+                            record_trace=False,
+                            flips={at: flipped},
+                            start=checkpoints[at],
+                        ),
+                    )
+            counter("campaign.injections").inc()
+            counter(f"campaign.outcome.{outcome.value}").inc()
+            results.append(
+                BatchOutcome(
+                    outcome,
+                    None if evicted is None else evicted[0],
+                    share + time.perf_counter() - started,
+                )
+            )
+        return results
+
+    def _classify_shadow(self, state: list[int], lane: int) -> Outcome:
+        """Outcome of a lane that shadowed golden until golden halted.
+
+        Its testbench went through golden's exact history, so golden's
+        final testbench stands in for it; only its final FF state may
+        differ, which matters to observables that read it.
+        """
+        golden = self._golden
+        final = [value >> lane & 1 for value in state]
+        if final == golden.final_state:
+            return Outcome.BENIGN
+        result = SimulationResult(
+            None, golden.cycles, True, final, golden.outputs_last
+        )
+        return self.classify(self._golden_tb, result)
+
     # ------------------------------------------------------------------
     def run_points(self, points: Iterable[tuple[str, int]]) -> CampaignResult:
         """Inject a list of (dff name, cycle) points."""
-        dffs = self.target.simulator.netlist.dffs
         result = CampaignResult(self.target.name, self.golden_cycles)
         points = list(points)
         with span(
             "campaign/run-points", target=self.target.name, points=len(points)
         ) as run_span:
-            for dff_name, cycle in progress_iter(
-                points, label=f"campaign {self.target.name}"
-            ):
-                if dff_name not in dffs:
-                    raise KeyError(f"unknown flip-flop {dff_name!r}")
-                outcome = self.inject(dff_name, cycle)
-                result.records.append(InjectionRecord(dff_name, cycle, outcome))
+            outcomes = self.inject_batch(points)
+        result.records = [
+            InjectionRecord(dff_name, cycle, outcome)
+            for (dff_name, cycle), outcome in zip(points, outcomes)
+        ]
         if run_span.elapsed > 0:
-            gauge("campaign.injections_per_second").set(
-                len(points) / run_span.elapsed
-            )
+            rate = len(points) / run_span.elapsed
+            gauge("campaign.injections_per_second").set(rate)
+            gauge("campaign.points_decided_per_second").set(rate)
         return result
 
-    def run_sampled(
-        self,
-        num_samples: int,
-        seed: int = 0,
-        dff_names: Sequence[str] | None = None,
-    ) -> CampaignResult:
+    def run_sampled(self, num_samples: int, seed: int = 0) -> CampaignResult:
         """Inject uniformly sampled points from the fault space."""
-        rng = random.Random(seed)
-        names = list(dff_names or self.target.simulator.netlist.dffs)
-        points = [
-            (rng.choice(names), rng.randrange(self.golden_cycles))
-            for _ in range(num_samples)
-        ]
-        return self.run_points(points)
+        return self.run_points(
+            sample_points(
+                self.target.simulator.netlist, self.golden_cycles,
+                num_samples, seed,
+            )
+        )
 
     def run_pruned(
         self,
@@ -241,16 +428,23 @@ class Campaign:
                 f"cycle(s) but the golden run has {self.golden_cycles}"
             )
         plan = equivalence_map.collapse(points)
-        outcomes: dict[int, Outcome] = {}
         with span(
             "campaign/run-collapsed",
             target=self.target.name,
             points=len(points),
             injected=plan.num_injected,
-        ):
-            for index in plan.executed:
-                dff_name, cycle = plan.points[index]
-                outcomes[index] = self.inject(dff_name, cycle)
+        ) as run_span:
+            executed = list(plan.executed)
+            outcomes = dict(
+                zip(
+                    executed,
+                    self.inject_batch(plan.points[index] for index in executed),
+                )
+            )
+        if run_span.elapsed > 0:
+            gauge("campaign.points_decided_per_second").set(
+                len(points) / run_span.elapsed
+            )
         for index in plan.dead:
             outcomes[index] = Outcome.BENIGN
         for index, rep_index in plan.follows.items():

@@ -214,6 +214,7 @@ class CampaignJournal:
         worker: int | None = None,
         pruned_by: str | None = None,
         equivalence_rep: tuple[str, int] | None = None,
+        left_golden: int | None = None,
     ) -> None:
         """Durably append one injection outcome.
 
@@ -223,8 +224,10 @@ class CampaignJournal:
         ``pruned_by`` names the pruning layer that decided this outcome
         without simulation (``"defuse"``); ``equivalence_rep`` is the
         (dff, cycle) representative whose injected outcome a back-annotated
-        point inherits. Both travel through the forward-compat ``details``
-        path on load.
+        point inherits. ``left_golden`` is the cycle at which an injected
+        lane stopped shadowing the golden run and went on alone on the
+        scalar path (absent when it was decided in golden's shadow). All
+        three travel through the forward-compat ``details`` path on load.
         """
         doc = {
             "kind": "record",
@@ -245,6 +248,8 @@ class CampaignJournal:
         if equivalence_rep is not None:
             rep_dff, rep_cycle = equivalence_rep
             doc["equivalence_rep"] = [rep_dff, int(rep_cycle)]
+        if left_golden is not None:
+            doc["left_golden"] = left_golden
         self._write_line(doc)
         self._unsynced += 1
         if self._unsynced >= self.fsync_interval:

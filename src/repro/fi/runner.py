@@ -18,6 +18,14 @@ survive faults in itself while injecting faults into the target:
   transient failures with backoff, replaces broken pools, and quarantines
   poison points: a point whose attempts are exhausted gets a terminal
   :attr:`Outcome.ERROR` record instead of aborting the campaign.
+- **Lane batches** — points run in batches through
+  :meth:`Campaign.run_batch` (golden-shadow lanes), sorted by cycle. The
+  batch size follows measured wall time: it starts at one point, doubles
+  while a batch takes under :data:`BATCH_TARGET_SECONDS`, halves above
+  it, never exceeds :data:`~repro.fi.campaign.LANES`, and drops back to
+  one after any failure or pool restart. A batch of several points that
+  raises, crashes or times out charges no attempt: its points go back as
+  one-point batches, which the retry and quarantine policy above governs.
 - **Graceful shutdown** — SIGINT/SIGTERM stop submission, flush the
   journal, tear the pool down, and report a resume hint; partial results
   are always loadable into a valid :class:`CampaignResult`.
@@ -39,7 +47,14 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.fi.campaign import Campaign, CampaignResult, CampaignTarget, InjectionRecord
+from repro.fi.campaign import (
+    LANES,
+    Campaign,
+    CampaignResult,
+    CampaignTarget,
+    InjectionRecord,
+    sample_points,
+)
 from repro.fi.classify import Outcome
 from repro.fi.journal import (
     CampaignJournal,
@@ -152,6 +167,25 @@ class RunnerConfig:
 #: The ``pruned_by`` journal detail of every point an AnnotationPlan decides.
 PRUNED_BY = "defuse"
 
+#: A batch finishing faster than this doubles the next one; slower halves it.
+BATCH_TARGET_SECONDS = 0.25
+
+
+def _next_batch_size(size: int, seconds: float) -> int:
+    if seconds < BATCH_TARGET_SECONDS:
+        return min(LANES, size * 2)
+    return max(1, size // 2)
+
+
+def _take_batch(queue: deque, size: int, solo: set[int]) -> list[int]:
+    """Pop up to ``size`` queued indices; an index in ``solo`` goes alone."""
+    batch = [queue.popleft()]
+    if batch[0] in solo:
+        return batch
+    while queue and len(batch) < size and queue[0] not in solo:
+        batch.append(queue.popleft())
+    return batch
+
 
 @dataclass(frozen=True)
 class AnnotationPlan:
@@ -253,25 +287,6 @@ def backoff_delay(
     return delay * (1.0 + (rng or random).uniform(0.0, jitter))
 
 
-def sample_points(
-    netlist, golden_cycles: int, num_samples: int, seed: int = 0
-) -> list[tuple[str, int]]:
-    """Uniformly sampled ``(dff, cycle)`` injection points.
-
-    The single source of the sampling order: :meth:`CampaignRunner.sample_points`
-    and the distributed coordinator both delegate here, so a distributed
-    campaign over the same target/seed injects the exact point list a
-    single-host ``fi run`` would — the precondition for their journals
-    being record-for-record comparable.
-    """
-    rng = random.Random(seed)
-    names = list(netlist.dffs)
-    return [
-        (rng.choice(names), rng.randrange(golden_cycles))
-        for _ in range(num_samples)
-    ]
-
-
 def load_result(journal_path: str | Path) -> CampaignResult:
     """Load a (possibly partial) journal into a valid CampaignResult."""
     state = load_journal(journal_path)
@@ -304,19 +319,28 @@ def _worker_init(
     remote.flush_worker_metrics()
 
 
-def _worker_inject(
-    index: int, dff_name: str, cycle: int
-) -> tuple[int, str, float, int]:
+def _worker_inject_batch(
+    batch: list[tuple[int, str, int]],
+) -> tuple[list[tuple[int, str, float, int | None]], int]:
+    """Run one lane batch of ``(index, dff, cycle)`` points.
+
+    Returns ``(index, outcome, seconds, left_golden)`` per point, plus this
+    worker's pid.
+    """
     assert _WORKER_CAMPAIGN is not None, "worker initializer did not run"
-    remote.worker_event("inject-start", i=index, dff=dff_name, cycle=cycle)
-    start = time.monotonic()
-    outcome = _WORKER_CAMPAIGN.inject(dff_name, cycle)
-    seconds = time.monotonic() - start
+    # Markers go out in the order run_batch emits its campaign/inject spans.
+    batch = sorted(batch, key=lambda item: item[2])
+    for index, dff_name, cycle in batch:
+        remote.worker_event("inject-start", i=index, dff=dff_name, cycle=cycle)
+    results = _WORKER_CAMPAIGN.run_batch([(dff, cycle) for _, dff, cycle in batch])
     # Rate-limited /proc self-sample: the resource.* gauges ride the
     # cumulative snapshot home and surface per-worker in /metrics.
     resource.sample_self()
     remote.flush_worker_metrics()
-    return index, outcome.value, seconds, os.getpid()
+    return [
+        (index, result.outcome.value, result.seconds, result.left_golden)
+        for (index, _, _), result in zip(batch, results)
+    ], os.getpid()
 
 
 def _worker_probe() -> bool:
@@ -357,7 +381,7 @@ class CampaignRunner:
         )
 
     def wall_timeout(self) -> float:
-        """Per-injection wall-clock budget (seconds)."""
+        """Per-injection wall-clock budget (seconds); a batch gets one per point."""
         if self.config.timeout_seconds is not None:
             return self.config.timeout_seconds
         return max(
@@ -472,6 +496,7 @@ class CampaignRunner:
         ]
         if self.config.limit is not None:
             pending = pending[: self.config.limit]
+        pending.sort(key=lambda i: points[i][1])  # lane batches share a start
 
         stop = threading.Event()
         stop_signal: list[str] = []
@@ -500,6 +525,10 @@ class CampaignRunner:
             if run_span.elapsed > 0 and report.executed:
                 gauge("campaign.injections_per_second").set(
                     report.executed / run_span.elapsed
+                )
+            if run_span.elapsed > 0:
+                gauge("campaign.points_decided_per_second").set(
+                    (report.executed + report.annotated) / run_span.elapsed
                 )
         finally:
             self._dashboard = None
@@ -628,6 +657,7 @@ class CampaignRunner:
         seconds: float | None = None,
         worker: int | None = None,
         annotation: dict | None = None,
+        left_golden: int | None = None,
     ) -> None:
         record = InjectionRecord(point[0], point[1], outcome)
         journal.append_record(
@@ -635,6 +665,7 @@ class CampaignRunner:
             seconds=seconds, worker=worker,
             pruned_by=annotation.get("pruned_by") if annotation else None,
             equivalence_rep=annotation.get("equivalence_rep") if annotation else None,
+            left_golden=left_golden,
         )
         done[index] = record
         if annotation is not None:
@@ -647,8 +678,14 @@ class CampaignRunner:
         if seconds is not None:
             histogram("campaign.injection_seconds").observe(seconds)
         elapsed = time.monotonic() - self._run_started
-        if elapsed > 0 and report.executed:
-            gauge("campaign.injections_per_second").set(report.executed / elapsed)
+        if elapsed > 0:
+            if report.executed:
+                gauge("campaign.injections_per_second").set(
+                    report.executed / elapsed
+                )
+            gauge("campaign.points_decided_per_second").set(
+                (report.executed + report.annotated) / elapsed
+            )
         if self._dashboard is not None:
             self._dashboard.update(
                 executed=report.executed + report.annotated,
@@ -695,33 +732,41 @@ class CampaignRunner:
     # ------------------------------------------------------------------
     def _run_inline(self, points, pending, done, journal, report, stop) -> None:
         """Serial in-process execution (workers=0): retries, no wall timeout."""
-        for index in pending:
-            if stop.is_set():
-                return
-            dff_name, cycle = points[index]
-            attempts = 0
-            while True:
-                attempts += 1
-                start = time.monotonic()
-                try:
-                    outcome = self.campaign.inject(dff_name, cycle)
-                except Exception as exc:  # noqa: BLE001 - quarantine boundary
-                    if attempts > self.config.max_retries:
-                        self._quarantine(
-                            journal, done, report, index, points[index],
-                            attempts, f"{type(exc).__name__}: {exc}",
-                        )
-                        break
+        queue = deque(pending)
+        attempts: dict[int, int] = dict.fromkeys(pending, 0)
+        solo: set[int] = set()
+        size = 1
+        while queue and not stop.is_set():
+            batch = _take_batch(queue, size, solo)
+            try:
+                results = self.campaign.run_batch([points[i] for i in batch])
+            except Exception as exc:  # noqa: BLE001 - quarantine boundary
+                size = 1
+                if len(batch) > 1:
+                    solo.update(batch)  # free requeue, one point at a time
+                    queue.extendleft(reversed(batch))
+                    continue
+                index = batch[0]
+                attempts[index] += 1
+                if attempts[index] > self.config.max_retries:
+                    self._quarantine(
+                        journal, done, report, index, points[index],
+                        attempts[index], f"{type(exc).__name__}: {exc}",
+                    )
+                else:
                     report.retries += 1
                     counter("campaign.retries").inc()
-                    time.sleep(self._retry_delay(attempts))
-                else:
-                    self._record(
-                        journal, done, report, index, points[index],
-                        outcome, attempts,
-                        seconds=time.monotonic() - start, worker=os.getpid(),
-                    )
-                    break
+                    time.sleep(self._retry_delay(attempts[index]))
+                    queue.appendleft(index)
+                continue
+            for index, result in zip(batch, results):
+                self._record(
+                    journal, done, report, index, points[index],
+                    result.outcome, attempts[index] + 1,
+                    seconds=result.seconds, worker=os.getpid(),
+                    left_golden=result.left_golden,
+                )
+            size = _next_batch_size(size, sum(r.seconds for r in results))
 
     # ------------------------------------------------------------------
     def _make_pool(self) -> ProcessPoolExecutor:
@@ -753,17 +798,19 @@ class CampaignRunner:
         timeout = self.wall_timeout()
         queue = deque(pending)
         attempts: dict[int, int] = dict.fromkeys(pending, 0)
+        solo: set[int] = set()  # points of a failed batch run one at a time
+        size = 1
         last_error = "unknown"
         pool = self._make_pool()
         # The probe completes once a worker finished initializing (spawn +
-        # compile + golden run). Until then, submitted points carry the
+        # compile + golden run). Until then, submitted batches carry the
         # startup grace on their deadline; once it lands, deadlines re-arm
         # to a plain `now + timeout` so a hung first task cannot hide
         # behind the grace — including after every pool restart.
         probe = pool.submit(_worker_probe)
         pool_warm = False
         cold_restarts = 0  # pool deaths before any worker ever succeeded
-        outstanding: dict = {}  # future -> (index, deadline)
+        outstanding: dict = {}  # future -> (batch indices, deadline)
         try:
             while (queue or outstanding) and not stop.is_set():
                 # A point that failed before (crash or timeout) re-runs
@@ -771,21 +818,23 @@ class CampaignRunner:
                 # unambiguous, so innocent neighbours are never penalized
                 # twice and only true poison points reach quarantine.
                 solo_active = any(
-                    attempts[i] > 0 for i, _ in outstanding.values()
+                    attempts[i] > 0 for batch, _ in outstanding.values()
+                    for i in batch
                 )
                 while (
                     queue and len(outstanding) < config.workers and not solo_active
                 ):
                     if attempts[queue[0]] > 0 and outstanding:
                         break  # drain the window, then run the suspect alone
-                    index = queue.popleft()
-                    dff_name, cycle = points[index]
-                    future = pool.submit(_worker_inject, index, dff_name, cycle)
-                    deadline = time.monotonic() + timeout
+                    batch = _take_batch(queue, size, solo)
+                    future = pool.submit(
+                        _worker_inject_batch, [(i, *points[i]) for i in batch]
+                    )
+                    deadline = time.monotonic() + timeout * len(batch)
                     if not pool_warm:
                         deadline += config.startup_grace
-                    outstanding[future] = (index, deadline)
-                    if attempts[index] > 0:
+                    outstanding[future] = (batch, deadline)
+                    if attempts[batch[0]] > 0:
                         break  # suspect submitted; keep it alone in the pool
 
                 now = time.monotonic()
@@ -801,57 +850,63 @@ class CampaignRunner:
 
                 if not pool_warm and probe.done() and probe.exception() is None:
                     pool_warm = True
-                    rearm = time.monotonic() + timeout
-                    for key, (i, deadline) in outstanding.items():
-                        outstanding[key] = (i, min(deadline, rearm))
+                    now = time.monotonic()
+                    for key, (batch, deadline) in outstanding.items():
+                        rearm = now + timeout * len(batch)
+                        outstanding[key] = (batch, min(deadline, rearm))
 
                 pool_broken = False
                 for future in finished:
                     if future not in outstanding:
                         continue  # the probe
-                    index, _ = outstanding.pop(future)
+                    batch, _ = outstanding.pop(future)
                     exc = future.exception()
                     if exc is None:
-                        result_index, outcome_value, seconds, pid = future.result()
-                        self._record(
-                            journal, done, report, result_index,
-                            points[result_index], Outcome(outcome_value),
-                            attempts[result_index] + 1,
-                            seconds=seconds, worker=pid,
+                        results, pid = future.result()
+                        for index, outcome_value, seconds, left_golden in results:
+                            self._record(
+                                journal, done, report, index, points[index],
+                                Outcome(outcome_value), attempts[index] + 1,
+                                seconds=seconds, worker=pid,
+                                left_golden=left_golden,
+                            )
+                        size = _next_batch_size(
+                            size, sum(result[2] for result in results)
                         )
-                    elif isinstance(exc, BrokenProcessPool):
+                        continue
+                    if isinstance(exc, BrokenProcessPool):
                         pool_broken = True
                         last_error = f"worker crashed: {exc}"
-                        self._register_failure(
-                            journal, done, report, points, queue, attempts,
-                            index, last_error,
-                        )
                     else:
                         last_error = f"{type(exc).__name__}: {exc}"
-                        self._register_failure(
-                            journal, done, report, points, queue, attempts,
-                            index, last_error,
-                        )
+                    size = 1
+                    self._batch_failed(
+                        journal, done, report, points, queue, attempts, solo,
+                        batch, last_error,
+                    )
 
                 timed_out = [
-                    (future, index)
-                    for future, (index, deadline) in outstanding.items()
+                    (future, batch)
+                    for future, (batch, deadline) in outstanding.items()
                     if time.monotonic() >= deadline and not future.done()
                 ]
                 if timed_out:
-                    for _, index in timed_out:
-                        self._register_failure(
+                    for _, batch in timed_out:
+                        self._batch_failed(
                             journal, done, report, points, queue, attempts,
-                            index, f"wall-clock timeout after {timeout:.1f}s",
+                            solo, batch,
+                            f"wall-clock timeout after "
+                            f"{timeout * len(batch):.1f}s",
                         )
-                    hung = {index for _, index in timed_out}
+                    hung = {future for future, _ in timed_out}
                     # The pool has wedged workers — survivors are innocent
                     # victims of the restart and are requeued free of charge.
-                    for future, (index, _) in outstanding.items():
-                        if index not in hung and not future.done():
-                            queue.append(index)
+                    for future, (batch, _) in outstanding.items():
+                        if future not in hung and not future.done():
+                            queue.extend(batch)
                     outstanding.clear()
                     pool, probe, pool_warm = self._restart_pool(pool, report)
+                    size = 1
                 elif pool_broken:
                     if not pool_warm:
                         cold_restarts += 1
@@ -864,11 +919,11 @@ class CampaignRunner:
                             )
                     # Every other outstanding future is doomed with the same
                     # BrokenProcessPool; drain them as free requeues.
-                    for future, (index, _) in outstanding.items():
-                        if index not in done:
-                            queue.append(index)
+                    for future, (batch, _) in outstanding.items():
+                        queue.extend(i for i in batch if i not in done)
                     outstanding.clear()
                     pool, probe, pool_warm = self._restart_pool(pool, report)
+                    size = 1
             if stop.is_set():
                 for future in outstanding:
                     future.cancel()
@@ -881,6 +936,20 @@ class CampaignRunner:
         counter("campaign.worker_restarts").inc(self.config.workers)
         fresh = self._make_pool()
         return fresh, fresh.submit(_worker_probe), False
+
+    def _batch_failed(
+        self, journal, done, report, points, queue, attempts, solo,
+        batch: list[int], error: str,
+    ) -> None:
+        """A batch of several points goes back free, one point per batch;
+        a one-point batch counts a failed attempt."""
+        if len(batch) == 1:
+            self._register_failure(
+                journal, done, report, points, queue, attempts, batch[0], error
+            )
+            return
+        solo.update(batch)
+        queue.extendleft(reversed(batch))
 
     def _register_failure(
         self, journal, done, report, points, queue, attempts,

@@ -8,9 +8,18 @@ generation), which evaluates a full cycle in a single call. The complete
 wire-value row for trace recording is built only when the caller asks for
 it: most cycles (every injected run) discard it, and building a tuple of a
 few thousand wires costs about a third of the step.
+
+A second, *lane* form of the same walk is compiled on first use: every
+value is an integer whose bit k belongs to an independent run (lane k), so
+one call steps up to as many runs as the mask ``M`` has bits. It differs
+from the scalar form only where the scalar form relies on a value being 0
+or 1: ``1 ^ x`` becomes ``M ^ x``, the ``MUX2`` conditional becomes
+``(S & B) | ((M ^ S) & A)``, and the constant 1 becomes ``M``.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.netlist.netlist import CONST0, CONST1, Gate, Netlist
 from repro.netlist.validate import validate_netlist
@@ -43,6 +52,12 @@ _TEMPLATES = {
     "MAJ3": "({A} & {B}) | ({A} & {C}) | ({B} & {C})",
 }
 
+#: The one template the lane form cannot derive by rewriting constants.
+_LANE_MUX2 = "({S} & {B}) | ((M ^ {S}) & {A})"
+
+#: An integer literal 1 in a rendered expression (never part of a ``v1``).
+_ONE = re.compile(r"\b1\b")
+
 
 class CompiledNetlist:
     """A netlist compiled to an executable single-cycle step function.
@@ -51,6 +66,10 @@ class CompiledNetlist:
     the D values in :attr:`dffs` order, the output bits in
     :attr:`output_wires` order, and the wire values in :attr:`trace_wires`
     order -- or ``None`` in place of the row when ``row`` is false.
+
+    ``lane_step(state, inputs, M)`` returns ``(next_state, outputs)`` of
+    the lane form (see the module docstring): ``M`` has a 1 in every lane
+    in use, and each state and input value is that lane set's bits.
     """
 
     def __init__(self, netlist: Netlist) -> None:
@@ -74,6 +93,8 @@ class CompiledNetlist:
                     seen.add(gate.output)
 
             self._var_of: dict[str, str] = {CONST0: "0", CONST1: "1"}
+            self._topo = topo
+            self._lane_step = None
             self.step = self._compile(topo)
         counter("sim.compile.netlists").inc()
         counter("sim.compile.gates").inc(len(topo))
@@ -86,36 +107,62 @@ class CompiledNetlist:
             self._var_of[wire] = var
         return var
 
-    def _gate_expression(self, gate: Gate) -> str:
-        template = _TEMPLATES.get(gate.cell)
+    def _gate_expression(self, gate: Gate, lanes: bool = False) -> str:
+        if lanes and gate.cell == "MUX2":
+            template = _LANE_MUX2
+        else:
+            template = _TEMPLATES.get(gate.cell)
         env = {pin: self._var(wire) for pin, wire in gate.inputs.items()}
         if template is not None:
-            return template.format(**env)
-        # Fallback for cells without a hand-written template: tabulated SOP.
-        cell = self.netlist.library[gate.cell]
-        assert cell.function is not None
-        expression = cell.function.python_expression()
-        for pin in sorted(env, key=len, reverse=True):
-            expression = expression.replace(pin, env[pin])
-        return expression
+            expression = template.format(**env)
+        else:
+            # Fallback for cells without a hand-written template: tabulated SOP.
+            cell = self.netlist.library[gate.cell]
+            assert cell.function is not None
+            expression = cell.function.python_expression()
+            for pin in sorted(env, key=len, reverse=True):
+                expression = expression.replace(pin, env[pin])
+        return _ONE.sub("M", expression) if lanes else expression
 
-    def _compile(self, topo: list[Gate]):
-        lines = ["def step(state, inputs, row=True):"]
+    def _body(self, topo: list[Gate], lanes: bool) -> tuple[list[str], str, str]:
+        """Shared walk: assignment lines, next-state list, outputs tuple."""
+        lines = []
         for index, wire in enumerate(self.input_wires):
             lines.append(f"    {self._var(wire)} = inputs[{index}]")
         for index, dff in enumerate(self.dffs):
             lines.append(f"    {self._var(dff.q)} = state[{index}]")
         for gate in topo:
-            expression = self._gate_expression(gate)
+            expression = self._gate_expression(gate, lanes)
             lines.append(f"    {self._var(gate.output)} = {expression}")
-        next_state = ", ".join(self._var(dff.d) for dff in self.dffs)
-        outputs = ", ".join(self._var(wire) for wire in self.output_wires)
-        outputs_tuple = f"({outputs},)" if outputs else "()"
+
+        def ref(wire: str) -> str:
+            return "M" if lanes and wire == CONST1 else self._var(wire)
+
+        next_state = ", ".join(ref(dff.d) for dff in self.dffs)
+        outputs = ", ".join(ref(wire) for wire in self.output_wires)
+        return lines, f"[{next_state}]", f"({outputs},)" if outputs else "()"
+
+    def _compile(self, topo: list[Gate]):
+        lines, next_state, outputs = self._body(topo, lanes=False)
         columns = ", ".join(self._var(wire) for wire in self.trace_wires)
+        lines.insert(0, "def step(state, inputs, row=True):")
         lines.append(
-            f"    return [{next_state}], {outputs_tuple}, ({columns},) if row else None"
+            f"    return {next_state}, {outputs}, ({columns},) if row else None"
         )
         return exec_function(lines, "step", f"<compiled {self.netlist.name}>")
+
+    @property
+    def lane_step(self):
+        """The lane-form step function, compiled on first use."""
+        if self._lane_step is None:
+            with span("sim/compile-lanes", netlist=self.netlist.name):
+                lines, next_state, outputs = self._body(self._topo, lanes=True)
+                lines.insert(0, "def lane_step(state, inputs, M):")
+                lines.append(f"    return {next_state}, {outputs}")
+                self._lane_step = exec_function(
+                    lines, "lane_step", f"<compiled lanes {self.netlist.name}>"
+                )
+        return self._lane_step
 
     # ------------------------------------------------------------------
     def initial_state(self) -> list[int]:

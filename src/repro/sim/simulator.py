@@ -122,6 +122,7 @@ class SimulationResult:
         final_state: list[int],
         outputs_last: dict[str, int],
         reads: list[frozenset[str]] | None = None,
+        io: list[tuple[list[int], tuple[int, ...]]] | None = None,
     ) -> None:
         self.trace = trace
         self.cycles = cycles
@@ -130,6 +131,8 @@ class SimulationResult:
         self.outputs_last = outputs_last
         #: Per-cycle sets of DFF names the testbench read (``record_reads``).
         self.reads = reads
+        #: Per-cycle (input bits, output bits) pairs (``record_io``).
+        self.io = io
 
     def __repr__(self) -> str:
         status = "halted" if self.halted else "ran"
@@ -199,6 +202,7 @@ class Simulator:
         record_reads: bool = False,
         start: Checkpoint | None = None,
         checkpoints: list[Checkpoint] | None = None,
+        record_io: bool = False,
     ) -> SimulationResult:
         """Simulate up to ``max_cycles`` (or until the testbench halts).
 
@@ -211,7 +215,8 @@ class Simulator:
         ``start.cycle``. Cycle numbers, ``max_cycles`` and the result's
         ``cycles`` stay absolute; the trace and read sets cover only the
         cycles simulated. ``checkpoints`` collects one :class:`Checkpoint`
-        per cycle simulated.
+        per cycle simulated. With ``record_io`` the result carries each
+        cycle's packed input bits and output bits.
         """
         testbench = testbench or Testbench()
         if start is None:
@@ -238,6 +243,9 @@ class Simulator:
         snapshot = testbench.snapshot if checkpoints is not None else None
         rows: list[tuple[int, ...]] = []
         reads: list[frozenset[str]] | None = [] if record_reads else None
+        io: list[tuple[list[int], tuple[int, ...]]] | None = (
+            [] if record_io else None
+        )
         view = self.state_view(state, set() if record_reads else None)
         halted = False
         out_words: dict[str, int] = {}
@@ -259,9 +267,12 @@ class Simulator:
                 else:
                     in_words = drive(cycle, view)
                 # ``row`` goes positionally: timing wrappers may forward *args only.
-                state, outputs, row = step(state, pack(in_words), record_trace)
+                in_bits = pack(in_words)
+                state, outputs, row = step(state, in_bits, record_trace)
                 if record_trace:
                     rows.append(row)
+                if io is not None:
+                    io.append((in_bits, outputs))
                 out_words = unpack(outputs)
                 if observe(cycle, out_words):
                     halted = True
@@ -282,7 +293,9 @@ class Simulator:
                 (0, len(self.compiled.trace_wires)), dtype=np.uint8
             )
             trace = Trace(self.compiled.trace_wires, matrix)
-        return SimulationResult(trace, cycle, halted, state, out_words, reads=reads)
+        return SimulationResult(
+            trace, cycle, halted, state, out_words, reads=reads, io=io
+        )
 
 
 def _compile_pack(input_wires: list[str], input_widths: Mapping[str, int]):

@@ -18,7 +18,18 @@ from collections.abc import Mapping, Sequence
 
 
 class Testbench:
-    """Base testbench: drives all inputs to zero, never halts."""
+    """Base testbench: drives all inputs to zero, never halts.
+
+    The contract every testbench keeps: ``drive(cycle, state)`` and
+    ``observe(cycle, outputs)`` depend only on the cycle, the testbench's
+    own state (everything :meth:`snapshot` captures), the flip-flops read
+    through ``state.read_reg``/``state.read_ff``, and the outputs. Two runs
+    that agree on all of these each cycle therefore drive the same inputs
+    and make the same memory writes and halt decisions. Checkpointed
+    injection relies on it, and so do golden-shadow lanes
+    (``Campaign.inject_batch``), which decide a run without a testbench of
+    its own for as long as it matches golden's reads and outputs.
+    """
 
     def drive(self, cycle: int, state: "StateReader") -> dict[str, int]:
         """Word-level input values for this cycle (missing inputs become 0)."""

@@ -14,7 +14,9 @@ hooks to misbehave on demand:
 - :func:`killer_target` — SIGKILLs its own process under the same trigger:
   exercises BrokenProcessPool supervision. With a ``sentinel`` path the
   kill happens only once (the file is created first), modelling a
-  transient crash that succeeds on retry.
+  transient crash that succeeds on retry;
+- :func:`raising_target` — raises under the same trigger: exercises the
+  in-process (``workers=0``) failure path.
 """
 
 from __future__ import annotations
@@ -143,6 +145,16 @@ def killer_target(sentinel: str | None = None) -> CampaignTarget:
             os.kill(os.getpid(), signal.SIGKILL)
 
     return _make_target("killer", KillerBench)
+
+
+def raising_target() -> CampaignTarget:
+    """Raises ``RuntimeError`` whenever the trip FF is injected."""
+
+    class RaisingBench(_MisbehavingBench):
+        def misbehave(self) -> None:
+            raise RuntimeError("trip flip-flop injected")
+
+    return _make_target("raising", RaisingBench)
 
 
 def netlist_json_roundtrip_target(netlist_json: str) -> CampaignTarget:

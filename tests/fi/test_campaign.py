@@ -147,7 +147,13 @@ class TestCampaign:
         assert registry.counter("campaign.outcome.benign").value == 1
         assert registry.spans["campaign/run-points"].count == 1
         assert registry.spans["campaign/run-points/campaign/inject"].count == 2
-        assert registry.counter("sim.runs").value >= 3  # golden + 2 injections
+        # One lane batch: the decoy flip stays in golden's shadow, the
+        # accumulator flip leaves it and finishes on the scalar path.
+        assert registry.spans["campaign/run-points/campaign/lanes"].count == 1
+        assert registry.counter("campaign.lanes.batches").value == 1
+        assert registry.counter("campaign.lanes.shadow_benign").value == 1
+        assert registry.counter("campaign.lanes.evicted").value == 1
+        assert registry.counter("sim.runs").value == 2  # golden + the evicted lane
 
     def test_nonhalting_golden_rejected(self, target):
         class NeverHalt(Testbench):

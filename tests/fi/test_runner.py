@@ -6,7 +6,9 @@ accumulator's golden run is 9 cycles; its ``trip`` flip-flop reads 1 only
 when injected, which lets a target misbehave on exactly one point.
 """
 
+import json
 import random
+from collections import deque
 
 import pytest
 
@@ -21,7 +23,13 @@ from repro.fi import (
     load_journal,
     load_result,
 )
-from repro.fi.runner import backoff_delay
+from repro.fi.runner import (
+    BATCH_TARGET_SECONDS,
+    LANES,
+    _next_batch_size,
+    _take_batch,
+    backoff_delay,
+)
 
 from .runner_targets import TRIP_FF, accum_target
 
@@ -283,6 +291,116 @@ class TestWorkerPool:
             obs.get_registry().gauge("campaign.injections_per_second").value
             > 0
         )
+
+
+class TestLaneBatches:
+    """Batch sizing, failed-batch requeue and ``left_golden`` provenance."""
+
+    def test_batch_size_follows_wall_time(self):
+        fast, slow = BATCH_TARGET_SECONDS / 2, BATCH_TARGET_SECONDS * 2
+        assert [_next_batch_size(n, fast) for n in (1, 2, 32, LANES)] == [
+            2, 4, LANES, LANES,
+        ]
+        assert [_next_batch_size(n, slow) for n in (1, 2, 64)] == [1, 1, 32]
+
+    def test_take_batch_runs_solo_points_alone(self):
+        queue = deque([0, 1, 2, 3, 4, 5])
+        assert _take_batch(queue, 3, solo={4}) == [0, 1, 2]
+        assert _take_batch(queue, 3, solo={4}) == [3]  # stops before a solo
+        assert _take_batch(queue, 3, solo={4}) == [4]
+        assert _take_batch(queue, 3, solo={4}) == [5]
+        assert not queue
+
+    def test_journal_carries_left_golden(self, inline_runner, tmp_path):
+        points = [("acc_b0", 2), ("decoy_b0", 2), ("count_b3", 1)]
+        report = inline_runner.run(points, tmp_path / "c.jsonl")
+        details = load_journal(tmp_path / "c.jsonl").details
+        # The accumulator flip shows on acc_out at once; the decoy flip
+        # is never read or output, so it is decided in golden's shadow.
+        assert details[0]["left_golden"] == 2
+        assert "left_golden" not in details[1]
+        assert [r.outcome for r in report.result.records] == [
+            Outcome.SDC, Outcome.BENIGN, Outcome.SDC,
+        ]
+        registry = obs.get_registry()
+        assert registry.counter("campaign.lanes.evicted").value == 2
+        assert registry.counter("campaign.lanes.shadow_benign").value == 1
+        assert registry.gauge("campaign.points_decided_per_second").value > 0
+
+    def test_resume_and_ingest_with_or_without_left_golden(self, tmp_path):
+        from repro.store import ResultsStore
+
+        points = CampaignRunner(ACCUM, _config()).sample_points(12, seed=4)
+        reference = CampaignRunner(ACCUM, _config()).run(
+            points, tmp_path / "ref.jsonl", seed=4
+        )
+        CampaignRunner(ACCUM, _config(limit=6)).run(
+            points, tmp_path / "c.jsonl", seed=4
+        )
+        # A journal from before lane batches has no left_golden fields.
+        lines = (tmp_path / "c.jsonl").read_text().splitlines()
+        docs = [json.loads(line) for line in lines]
+        assert any("left_golden" in doc for doc in docs)
+        for doc in docs:
+            doc.pop("left_golden", None)
+        (tmp_path / "c.jsonl").write_text(
+            "".join(json.dumps(doc) + "\n" for doc in docs)
+        )
+        resumed = CampaignRunner(ACCUM, _config()).run(
+            points, tmp_path / "c.jsonl", resume=True, seed=4
+        )
+        assert resumed.complete
+        assert _record_tuples(resumed.result) == _record_tuples(reference.result)
+        with ResultsStore(tmp_path / "w.sqlite3") as store:
+            for journal in ("ref.jsonl", "c.jsonl"):
+                campaign_id = store.ingest_journal(tmp_path / journal)
+                assert len(store.outcomes(campaign_id)) == len(points)
+
+    def test_failed_batch_charges_no_attempt_inline(self, tmp_path):
+        """A raising batch goes back one point at a time, free of charge;
+        only the trip point then fails, retries and is quarantined."""
+        spec = TargetSpec(factory="tests.fi.runner_targets:raising_target")
+        runner = CampaignRunner(spec, _config(max_retries=1, retry_backoff=0.0))
+        report = runner.run(TRIP_POINTS, tmp_path / "c.jsonl")
+        _assert_only_trip_quarantined(report, tmp_path / "c.jsonl", attempts=2)
+        assert report.retries == 1
+        assert "trip flip-flop injected" in load_journal(
+            tmp_path / "c.jsonl"
+        ).details[TRIP_POINTS.index((TRIP_FF, 2))]["error"]
+
+    @pytest.mark.slow
+    def test_killer_inside_a_batch(self, tmp_path):
+        """The crashing trip point shares its second batch with a neighbour
+        (batches grow 1, 2, ... in cycle order): that crash is free, then
+        the trip point alone crashes twice and is quarantined."""
+        spec = TargetSpec(factory="tests.fi.runner_targets:killer_target")
+        runner = CampaignRunner(spec, _config(workers=1, max_retries=1))
+        report = runner.run(TRIP_POINTS, tmp_path / "c.jsonl")
+        _assert_only_trip_quarantined(report, tmp_path / "c.jsonl", attempts=2)
+        assert report.worker_restarts == 3  # the batch, then trip twice alone
+
+    @pytest.mark.slow
+    def test_sleepy_inside_a_batch(self, tmp_path):
+        spec = TargetSpec(factory="tests.fi.runner_targets:sleepy_target")
+        runner = CampaignRunner(
+            spec, _config(workers=1, max_retries=0, timeout_seconds=1.0)
+        )
+        report = runner.run(TRIP_POINTS, tmp_path / "c.jsonl")
+        _assert_only_trip_quarantined(report, tmp_path / "c.jsonl", attempts=1)
+        assert report.worker_restarts == 2  # the batch, then trip alone
+
+
+def _assert_only_trip_quarantined(report, journal, attempts: int) -> None:
+    assert report.complete
+    assert report.quarantined == 1
+    state = load_journal(journal)
+    for index, point in enumerate(TRIP_POINTS):
+        if point == (TRIP_FF, 2):
+            assert state.records[index].outcome is Outcome.ERROR
+            assert state.details[index]["attempts"] == attempts
+        else:
+            assert state.records[index].outcome is not Outcome.ERROR
+            assert state.details[index]["attempts"] == 1
 
 
 class TestStoreAutoIngest:

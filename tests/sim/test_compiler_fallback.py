@@ -1,4 +1,7 @@
-"""Tests for compiler details: SOP fallback, word packing, trace layout."""
+"""Tests for compiler details: SOP fallback, lane kernel, word packing,
+trace layout."""
+
+import random
 
 from repro.cells import BoolFunc, Cell, Library
 from repro.netlist import Netlist
@@ -39,6 +42,55 @@ class TestSopFallback:
             inputs = [(row >> i) & 1 for i in range(3)]
             _, outputs, _ = compiled.step([], inputs)
             assert outputs[0] == int(sum(inputs) == 1), f"row {row}"
+
+    def test_fallback_lane_form_matches_truth_table(self):
+        lib = self._library_with_custom_cell()
+        n = Netlist("t", lib)
+        for w in ("a", "b", "c"):
+            n.add_input(w)
+        n.add_gate("g", "ONEHOT3", {"A": "a", "B": "b", "C": "c"}, "y")
+        n.add_output("y")
+        # Lane k carries row k of the truth table.
+        inputs = [sum((row >> i & 1) << row for row in range(8)) for i in range(3)]
+        _, (y,) = CompiledNetlist(n).lane_step([], inputs, 0xFF)
+        assert [y >> row & 1 for row in range(8)] == [
+            int(bin(row).count("1") == 1) for row in range(8)
+        ]
+
+
+class TestLaneKernel:
+    """``lane_step`` steps each bit lane exactly as ``step`` steps one run."""
+
+    def test_lanes_match_scalar_steps(self, avr_sim):
+        compiled = avr_sim.compiled
+        rng = random.Random(3)
+        lanes = 64
+        states = [
+            [rng.getrandbits(1) for _ in compiled.dffs] for _ in range(lanes)
+        ]
+        inputs = [
+            [rng.getrandbits(1) for _ in compiled.input_wires]
+            for _ in range(lanes)
+        ]
+
+        def pack(rows):
+            return [
+                sum(row[i] << lane for lane, row in enumerate(rows))
+                for i in range(len(rows[0]))
+            ]
+
+        next_state, outputs = compiled.lane_step(
+            pack(states), pack(inputs), (1 << lanes) - 1
+        )
+        for lane in range(lanes):
+            scalar_state, scalar_outputs, _ = compiled.step(
+                states[lane], inputs[lane], False
+            )
+            assert [v >> lane & 1 for v in next_state] == scalar_state
+            assert tuple(v >> lane & 1 for v in outputs) == scalar_outputs
+
+    def test_compiled_once_on_first_use(self, avr_sim):
+        assert avr_sim.compiled.lane_step is avr_sim.compiled.lane_step
 
 
 class TestWordPacking:
