@@ -80,8 +80,8 @@ dist-smoke:      ## distributed service: 2 workers, one SIGKILLed, flip-free gat
 	# workers over a 2000-point avr-fib campaign; /metrics and
 	# /status.json are scraped mid-run, one worker is SIGKILLed, the
 	# merged shard journal must diff flip-free against a single-host
-	# reference, and a SIGSTOP stall drill must trip (then clear) the
-	# stalled health rule.
+	# reference and match its left_golden at every index, and a SIGSTOP
+	# stall drill must trip (then clear) the stalled health rule.
 	$(PYTHON) scripts/dist_smoke.py --smoke-dir $(SMOKE)
 
 bench:           ## append a versioned perf snapshot (BENCH_<n+1>.json)

@@ -13,7 +13,9 @@ The acceptance sequence CI runs as ``make dist-smoke``:
 3. One worker SIGKILLed mid-campaign — lease expiry must reassign its
    shard and the campaign must still complete.
 4. The merged shard journal and the reference ingest into one warehouse
-   and ``store diff`` must report zero outcome flips (exit 1 otherwise).
+   and ``store diff`` must report zero outcome flips (exit 1 otherwise);
+   the two journals must also agree on ``left_golden`` (the cycle a lane
+   left golden's shadow) at every index.
 5. Stall drill: a fresh coordinator with a tight stall threshold, one
    worker SIGSTOPped mid-campaign — the ``stalled`` health rule must
    fire, ``submit --wait --fail-on-alert`` must exit nonzero, and the
@@ -108,6 +110,17 @@ def _journaled_records(directory):
                 if doc.get("kind") == "record":
                     count += 1
     return count
+
+
+def _left_golden(journal):
+    """``{index: left_golden or None}`` over a journal's records."""
+    found = {}
+    with open(journal) as fh:
+        for line in fh:
+            doc = json.loads(line)
+            if doc.get("kind") == "record":
+                found[doc["i"]] = doc.get("left_golden")
+    return found
 
 
 def main(argv=None):
@@ -228,6 +241,18 @@ def main(argv=None):
     # Exits 1 on any outcome flip between the two campaigns — the gate.
     _run("repro.store", "--db", warehouse, "diff", "1", "2")
     _log("zero outcome flips: distributed == single-host")
+    expected = _left_golden(reference)
+    merged = _left_golden(directory / "merged.jsonl")
+    differ = sorted(
+        i for i in expected.keys() | merged.keys()
+        if i not in expected or i not in merged or expected[i] != merged[i]
+    )
+    if differ:
+        raise SystemExit(
+            f"dist-smoke: left_golden differs at {len(differ)} index(es), "
+            f"first {differ[:5]}"
+        )
+    _log(f"left_golden identical at all {len(expected)} indices")
 
     _stall_drill(smoke, args.seed)
     return 0

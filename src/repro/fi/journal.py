@@ -11,9 +11,9 @@ Durability contract:
 - every record is appended as one ``os.write`` to an ``O_APPEND`` file
   descriptor (a whole line including the newline, so concurrent readers
   and crash recovery never see interleaved fragments);
-- ``fsync`` is batched (every ``fsync_interval`` records, plus on close
-  and on the complete marker) — a crash loses at most one batch, never
-  corrupts earlier lines;
+- ``fsync`` is batched (every :data:`FSYNC_INTERVAL` records, plus on
+  close and on the complete marker) — a crash loses at most one batch,
+  never corrupts earlier lines;
 - the loader tolerates a torn final line (the crash case) by dropping it
   with a counter bump; a malformed line *before* the end means real
   corruption and raises :class:`JournalError`.
@@ -31,6 +31,9 @@ from repro.fi.classify import Outcome
 from repro.obs import counter
 
 FORMAT_VERSION = 1
+
+#: Records appended between two fsyncs.
+FSYNC_INTERVAL = 16
 
 #: Header fields that must match exactly for a resume to be accepted.
 MATCH_KEYS = (
@@ -89,6 +92,38 @@ def points_hash(points: list[tuple[str, int]]) -> str:
 
     blob = json.dumps([[dff, cycle] for dff, cycle in points])
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def journal_header(
+    target: dict,
+    workload: str,
+    netlist_hash: str,
+    seed: int | None,
+    golden_cycles: int,
+    max_cycles: int,
+    points: list[tuple[str, int]],
+    meta: dict | None = None,
+) -> dict:
+    """The header of a journal over ``points``: resume key, spec, point list.
+
+    Single-host journals, shard journals and merged journals all build
+    their header here, so a merged journal keys exactly like the journal
+    ``fi run`` would have written for the same campaign.
+    """
+    header = {
+        "target": dict(target),
+        "workload": workload,
+        "netlist_hash": netlist_hash,
+        "points_hash": points_hash(points),
+        "seed": seed,
+        "num_points": len(points),
+        "golden_cycles": golden_cycles,
+        "max_cycles": max_cycles,
+        "points": [[dff, cycle] for dff, cycle in points],
+    }
+    if meta:
+        header["meta"] = dict(meta)
+    return header
 
 
 def load_journal(path: str | Path) -> JournalState:
@@ -181,12 +216,9 @@ def check_resumable(state: JournalState, expected_header: dict) -> None:
 class CampaignJournal:
     """Append-side of a journal: crash-safe writes with batched fsync."""
 
-    def __init__(
-        self, path: str | Path, header: dict, fsync_interval: int = 16
-    ) -> None:
+    def __init__(self, path: str | Path, header: dict) -> None:
         self.path = Path(path)
         self.header = header
-        self.fsync_interval = max(1, fsync_interval)
         self._unsynced = 0
         fresh = not self.path.exists() or self.path.stat().st_size == 0
         self._fd = os.open(
@@ -209,25 +241,21 @@ class CampaignJournal:
         index: int,
         record: InjectionRecord,
         attempts: int = 1,
-        error: str | None = None,
-        seconds: float | None = None,
-        worker: int | None = None,
-        pruned_by: str | None = None,
-        equivalence_rep: tuple[str, int] | None = None,
-        left_golden: int | None = None,
+        **details: object,
     ) -> None:
         """Durably append one injection outcome.
 
-        ``seconds`` is the measured wall time of the injection and
-        ``worker`` the OS pid of the process that executed it; both are
-        optional telemetry used by ``python -m repro.fi report``.
-        ``pruned_by`` names the pruning layer that decided this outcome
-        without simulation (``"defuse"``); ``equivalence_rep`` is the
-        (dff, cycle) representative whose injected outcome a back-annotated
-        point inherits. ``left_golden`` is the cycle at which an injected
-        lane stopped shadowing the golden run and went on alone on the
-        scalar path (absent when it was decided in golden's shadow). All
-        three travel through the forward-compat ``details`` path on load.
+        ``details`` are optional per-record fields, each written only when
+        not None: ``error`` (why a point was quarantined), ``seconds`` (wall
+        time of the injection, rounded to the microsecond), ``worker`` (OS
+        pid of the process that ran it), ``pruned_by`` (the pruning layer
+        that decided it without simulation, ``"defuse"``),
+        ``equivalence_rep`` (the ``(dff, cycle)`` representative whose
+        injected outcome a back-annotated point inherits) and
+        ``left_golden`` (the cycle at which an injected lane stopped
+        shadowing the golden run and went on alone on the scalar path).
+        All of them, and any field a newer writer adds, come back through
+        :attr:`JournalState.details` on load.
         """
         doc = {
             "kind": "record",
@@ -237,22 +265,15 @@ class CampaignJournal:
             "outcome": record.outcome.value,
             "attempts": attempts,
         }
-        if error is not None:
-            doc["error"] = error
-        if seconds is not None:
-            doc["seconds"] = round(seconds, 6)
-        if worker is not None:
-            doc["worker"] = worker
-        if pruned_by is not None:
-            doc["pruned_by"] = pruned_by
-        if equivalence_rep is not None:
-            rep_dff, rep_cycle = equivalence_rep
+        doc.update((key, value) for key, value in details.items() if value is not None)
+        if "seconds" in doc:
+            doc["seconds"] = round(doc["seconds"], 6)
+        if "equivalence_rep" in doc:
+            rep_dff, rep_cycle = doc["equivalence_rep"]
             doc["equivalence_rep"] = [rep_dff, int(rep_cycle)]
-        if left_golden is not None:
-            doc["left_golden"] = left_golden
         self._write_line(doc)
         self._unsynced += 1
-        if self._unsynced >= self.fsync_interval:
+        if self._unsynced >= FSYNC_INTERVAL:
             self._sync()
 
     def mark_complete(self, num_records: int) -> None:

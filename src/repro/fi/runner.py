@@ -26,6 +26,10 @@ survive faults in itself while injecting faults into the target:
   one after any failure or pool restart. A batch of several points that
   raises, crashes or times out charges no attempt: its points go back as
   one-point batches, which the retry and quarantine policy above governs.
+  :func:`decide_points` is the one in-process loop that does this; the
+  inline runner, service workers and the coordinator's local fallback all
+  call it, and the pool charges its failures to the same
+  :class:`RetryPolicy`.
 - **Graceful shutdown** — SIGINT/SIGTERM stop submission, flush the
   journal, tear the pool down, and report a resume hint; partial results
   are always loadable into a valid :class:`CampaignResult`.
@@ -40,12 +44,13 @@ import signal
 import sys
 import threading
 import time
-from collections import deque
-from collections.abc import Mapping
+from collections import Counter, deque
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.fi.campaign import (
     LANES,
@@ -58,10 +63,9 @@ from repro.fi.campaign import (
 from repro.fi.classify import Outcome
 from repro.fi.journal import (
     CampaignJournal,
-    JournalState,
     check_resumable,
+    journal_header,
     load_journal,
-    points_hash,
 )
 from repro.netlist.json_io import netlist_content_hash
 from repro.obs import counter, events, gauge, histogram, remote, resource, span
@@ -110,6 +114,13 @@ class TargetSpec:
         return cls(factory=doc["factory"], kwargs=dict(doc.get("kwargs", {})))
 
 
+#: Floor of the derived wall-clock timeout per injection (seconds).
+MIN_TIMEOUT_SECONDS = 5.0
+
+#: Default cycle budget of golden runs (``Campaign`` max_cycles).
+MAX_CYCLES = 50_000
+
+
 @dataclass
 class RunnerConfig:
     """Tuning knobs of the resilient runner."""
@@ -117,32 +128,23 @@ class RunnerConfig:
     #: Worker processes; 0 executes inline in this process (no pool).
     workers: int = 1
     #: Wall-clock per-injection timeout = golden wall time x this factor
-    #: (floored at ``min_timeout_seconds``). Distinct from the *cycle*
+    #: (floored at :data:`MIN_TIMEOUT_SECONDS`). Distinct from the *cycle*
     #: budget `CampaignTarget.timeout_factor`, which bounds the simulated
     #: run; this bounds the host-side execution of one injection.
     timeout_factor: float = 50.0
     #: Explicit wall-clock timeout override (seconds); None = derive.
     timeout_seconds: float | None = None
-    min_timeout_seconds: float = 5.0
     #: Extra deadline slack until the pool has produced its first result
     #: (covers spawn + per-worker compile + golden run).
     startup_grace: float = 60.0
     #: Failed attempts allowed per point beyond the first; a point failing
     #: ``max_retries + 1`` times total is quarantined with Outcome.ERROR.
     max_retries: int = 1
-    #: Base sleep before re-submitting a failed point (doubles per attempt).
+    #: Base sleep before re-submitting a failed point (doubles per attempt,
+    #: jittered and capped by :func:`backoff_delay`).
     retry_backoff: float = 0.05
-    #: Backoff ceiling (seconds): the exponential delay never exceeds this.
-    retry_backoff_cap: float = 30.0
-    #: Multiplicative jitter fraction: each backoff sleep is stretched by a
-    #: uniform factor in ``[1, 1 + retry_jitter]`` so simultaneous retries
-    #: (many shards, many workers) never thundering-herd in lockstep.
-    #: 0 restores the old deterministic delays.
-    retry_jitter: float = 0.25
-    #: Journal fsync batching (records per fsync).
-    fsync_interval: int = 16
     #: Cycle budget for the golden run (Campaign max_cycles).
-    max_cycles: int = 50_000
+    max_cycles: int = MAX_CYCLES
     #: Stop (gracefully, resumable) after this many new records; None = all.
     limit: int | None = None
     #: Install SIGINT/SIGTERM handlers for graceful shutdown (main thread
@@ -162,6 +164,10 @@ class RunnerConfig:
     #: campaign — it is counted under ``store.ingest.errors`` instead.
     #: None (the default) disables auto-ingest.
     store_path: str | Path | None = None
+
+    def retry_policy(self) -> RetryPolicy:
+        """A fresh attempt ledger under this config's retry bound."""
+        return RetryPolicy(self.max_retries, self.retry_backoff)
 
 
 #: The ``pruned_by`` journal detail of every point an AnnotationPlan decides.
@@ -185,6 +191,129 @@ def _take_batch(queue: deque, size: int, solo: set[int]) -> list[int]:
     while queue and len(batch) < size and queue[0] not in solo:
         batch.append(queue.popleft())
     return batch
+
+
+class RetryPolicy:
+    """Attempt counting, backoff and quarantine of failing points.
+
+    One ledger per run. Every engine charges its one-point failures here:
+    the runner's pool and inline path, service workers and the
+    coordinator's local fallback. A failed batch of several points is
+    never charged (see :func:`decide_points`).
+    """
+
+    def __init__(self, max_retries: int, retry_backoff: float) -> None:
+        self.max_retries = max_retries
+        self.retry_backoff = retry_backoff
+        #: Failed attempts per point index.
+        self.attempts: Counter[int] = Counter()
+        self.retries = 0
+        self.quarantined = 0
+
+    def charge(self, index: int) -> bool:
+        """Count one failed attempt of ``index``.
+
+        True: retry it (the jittered backoff sleep has been taken). False:
+        its attempts are exhausted, quarantine it with ``attempts[index]``.
+        """
+        self.attempts[index] += 1
+        if self.attempts[index] > self.max_retries:
+            self.quarantined += 1
+            counter("campaign.points.quarantined").inc()
+            return False
+        self.retries += 1
+        counter("campaign.retries").inc()
+        time.sleep(backoff_delay(self.attempts[index], self.retry_backoff))
+        return True
+
+
+class Decision(NamedTuple):
+    """How one point was decided by :func:`decide_points`."""
+
+    outcome: Outcome
+    attempts: int
+    seconds: float | None = None
+    #: See :attr:`~repro.fi.campaign.BatchOutcome.left_golden`.
+    left_golden: int | None = None
+    #: ``"ExcType: message"`` of the last failure of a quarantined point.
+    error: str | None = None
+
+
+def decide_points(
+    campaign: Campaign,
+    points: Sequence[tuple[str, int]],
+    pending: Iterable[int],
+    emit: Callable[[int, Decision], bool],
+    policy: RetryPolicy,
+    before_batch: Callable[[list[int]], bool] | None = None,
+) -> None:
+    """Decide ``points[i]`` for every pending ``i`` in this process.
+
+    Points run in golden-shadow lane batches, sorted by cycle, with the
+    batch size following wall time (:func:`_next_batch_size`). A batch of
+    several points that raises goes back free, one point per batch; a
+    one-point failure is charged to ``policy`` and either retried or
+    quarantined as an :attr:`Outcome.ERROR` decision. ``emit(index,
+    decision)`` is called once per decided point, and
+    ``before_batch(batch)`` before each batch runs; the loop stops as soon
+    as either returns False.
+    """
+    queue = deque(sorted(pending, key=lambda i: points[i][1]))
+    solo: set[int] = set()
+    size = 1
+    while queue:
+        batch = _take_batch(queue, size, solo)
+        if before_batch is not None and not before_batch(batch):
+            return
+        try:
+            results = campaign.run_batch([points[i] for i in batch])
+        except Exception as exc:  # noqa: BLE001 - quarantine boundary
+            size = 1
+            if len(batch) > 1:
+                solo.update(batch)
+                queue.extendleft(reversed(batch))
+                continue
+            index = batch[0]
+            if policy.charge(index):
+                queue.appendleft(index)
+                continue
+            error = f"{type(exc).__name__}: {exc}"
+            decision = Decision(Outcome.ERROR, policy.attempts[index], error=error)
+            if not emit(index, decision):
+                return
+            continue
+        for index, result in zip(batch, results):
+            decision = Decision(
+                result.outcome, policy.attempts[index] + 1,
+                result.seconds, result.left_golden,
+            )
+            if not emit(index, decision):
+                return
+        size = _next_batch_size(size, sum(r.seconds for r in results))
+
+
+def auto_ingest(
+    store_path: str | Path,
+    journal_path: Path,
+    telemetry_dir: Path | None,
+    log: Callable[[str], None],
+) -> int | None:
+    """Ingest a completed journal into the results warehouse.
+
+    Best-effort by design: the campaign's results are already durable in
+    the journal, so a warehouse problem is counted
+    (``store.ingest.errors``) and logged, never raised. Returns the
+    warehouse campaign id, or None on failure.
+    """
+    from repro.store import ResultsStore
+
+    try:
+        with span("store/auto-ingest"), ResultsStore(store_path) as store:
+            return store.ingest_journal(journal_path, telemetry_dir=telemetry_dir)
+    except Exception as exc:  # noqa: BLE001 - warehouse must not kill runs
+        counter("store.ingest.errors").inc()
+        log(f"could not ingest {journal_path} into {store_path}: {exc}")
+        return None
 
 
 @dataclass(frozen=True)
@@ -364,6 +493,7 @@ class CampaignRunner:
         self._dashboard: CampaignDashboard | None = None
         self._plan_followers: dict[int, list[int]] = {}
         self._run_points: list[tuple[str, int]] = []
+        self._policy = self.config.retry_policy()
         self._run_started = time.monotonic()
 
     # ------------------------------------------------------------------
@@ -385,30 +515,9 @@ class CampaignRunner:
         if self.config.timeout_seconds is not None:
             return self.config.timeout_seconds
         return max(
-            self.config.min_timeout_seconds,
+            MIN_TIMEOUT_SECONDS,
             self.golden_wall_seconds * self.config.timeout_factor,
         )
-
-    def _header(
-        self,
-        points: list[tuple[str, int]],
-        seed: int | None,
-        meta: dict | None = None,
-    ) -> dict:
-        header = {
-            "target": self.spec.to_dict(),
-            "workload": self.target.name,
-            "netlist_hash": self.netlist_hash,
-            "points_hash": points_hash(points),
-            "seed": seed,
-            "num_points": len(points),
-            "golden_cycles": self.golden_cycles,
-            "max_cycles": self.config.max_cycles,
-            "points": [[dff, cycle] for dff, cycle in points],
-        }
-        if meta:
-            header["meta"] = dict(meta)
-        return header
 
     def _validate_points(self, points: list[tuple[str, int]]) -> None:
         dffs = self.target.simulator.netlist.dffs
@@ -461,7 +570,10 @@ class CampaignRunner:
         self._validate_points(points)
         if plan is not None:
             plan.validate(len(points))
-        header = self._header(points, seed, meta)
+        header = journal_header(
+            self.spec.to_dict(), self.target.name, self.netlist_hash, seed,
+            self.golden_cycles, self.config.max_cycles, points, meta,
+        )
 
         done: dict[int, InjectionRecord] = {}
         already_complete = False
@@ -487,6 +599,7 @@ class CampaignRunner:
         )
         self._plan_followers = plan.followers_of() if plan is not None else {}
         self._run_points = points
+        self._policy = policy = self.config.retry_policy()
         skip_static: set[int] = (
             set(plan.dead) | set(plan.follows) if plan is not None else set()
         )
@@ -505,9 +618,7 @@ class CampaignRunner:
         self._dashboard = dashboard
         self._run_started = time.monotonic()
         try:
-            with CampaignJournal(
-                journal_path, header, self.config.fsync_interval
-            ) as journal, span(
+            with CampaignJournal(journal_path, header) as journal, span(
                 "runner/execute", target=self.target.name, points=len(pending)
             ) as run_span:
                 if plan is not None:
@@ -531,6 +642,8 @@ class CampaignRunner:
                     (report.executed + report.annotated) / run_span.elapsed
                 )
         finally:
+            report.retries = policy.retries
+            report.quarantined = policy.quarantined
             self._dashboard = None
             self._plan_followers = {}
             self._run_points = []
@@ -545,35 +658,11 @@ class CampaignRunner:
         report.interrupted = stop_signal[0] if stop_signal else None
         report.result = _assemble_result(header, done)
         if report.complete and self.config.store_path is not None:
-            report.store_id = self._auto_ingest(journal_path, telemetry_dir)
-        return report
-
-    def _auto_ingest(
-        self, journal_path: Path, telemetry_dir: Path | None
-    ) -> int | None:
-        """Ingest the completed journal into the results warehouse.
-
-        Best-effort by design: the campaign's results are already durable
-        in the journal, so a warehouse problem is counted
-        (``store.ingest.errors``) and reported as a warning, never raised.
-        """
-        from repro.store import ResultsStore
-
-        try:
-            with span("store/auto-ingest"), ResultsStore(
-                self.config.store_path
-            ) as store:
-                return store.ingest_journal(
-                    journal_path, telemetry_dir=telemetry_dir
-                )
-        except Exception as exc:  # noqa: BLE001 - warehouse must not kill runs
-            counter("store.ingest.errors").inc()
-            print(
-                f"warning: could not ingest {journal_path} into "
-                f"{self.config.store_path}: {exc}",
-                file=sys.stderr,
+            report.store_id = auto_ingest(
+                self.config.store_path, journal_path, telemetry_dir,
+                log=lambda msg: print(f"warning: {msg}", file=sys.stderr),
             )
-            return None
+        return report
 
     def _open_telemetry(self):
         """Start the parent's telemetry stream if a directory is configured."""
@@ -690,8 +779,8 @@ class CampaignRunner:
             self._dashboard.update(
                 executed=report.executed + report.annotated,
                 skipped=report.skipped,
-                retries=report.retries,
-                quarantined=report.quarantined,
+                retries=self._policy.retries,
+                quarantined=self._policy.quarantined,
             )
         # A freshly-landed representative decides its followers right away.
         followers = self._plan_followers.get(index)
@@ -704,69 +793,23 @@ class CampaignRunner:
                         annotation={"pruned_by": PRUNED_BY, "equivalence_rep": point},
                     )
 
-    def _retry_delay(self, attempt: int) -> float:
-        """The jittered backoff sleep before re-running a failed attempt."""
-        return backoff_delay(
-            attempt,
-            self.config.retry_backoff,
-            cap=self.config.retry_backoff_cap,
-            jitter=self.config.retry_jitter,
-        )
-
-    def _quarantine(
-        self,
-        journal: CampaignJournal,
-        done: dict[int, InjectionRecord],
-        report: RunReport,
-        index: int,
-        point: tuple[str, int],
-        attempts: int,
-        error: str,
-    ) -> None:
-        report.quarantined += 1
-        counter("campaign.points.quarantined").inc()
-        self._record(
-            journal, done, report, index, point, Outcome.ERROR, attempts, error
-        )
-
     # ------------------------------------------------------------------
     def _run_inline(self, points, pending, done, journal, report, stop) -> None:
         """Serial in-process execution (workers=0): retries, no wall timeout."""
-        queue = deque(pending)
-        attempts: dict[int, int] = dict.fromkeys(pending, 0)
-        solo: set[int] = set()
-        size = 1
-        while queue and not stop.is_set():
-            batch = _take_batch(queue, size, solo)
-            try:
-                results = self.campaign.run_batch([points[i] for i in batch])
-            except Exception as exc:  # noqa: BLE001 - quarantine boundary
-                size = 1
-                if len(batch) > 1:
-                    solo.update(batch)  # free requeue, one point at a time
-                    queue.extendleft(reversed(batch))
-                    continue
-                index = batch[0]
-                attempts[index] += 1
-                if attempts[index] > self.config.max_retries:
-                    self._quarantine(
-                        journal, done, report, index, points[index],
-                        attempts[index], f"{type(exc).__name__}: {exc}",
-                    )
-                else:
-                    report.retries += 1
-                    counter("campaign.retries").inc()
-                    time.sleep(self._retry_delay(attempts[index]))
-                    queue.appendleft(index)
-                continue
-            for index, result in zip(batch, results):
-                self._record(
-                    journal, done, report, index, points[index],
-                    result.outcome, attempts[index] + 1,
-                    seconds=result.seconds, worker=os.getpid(),
-                    left_golden=result.left_golden,
-                )
-            size = _next_batch_size(size, sum(r.seconds for r in results))
+
+        def emit(index: int, decision: Decision) -> bool:
+            self._record(
+                journal, done, report, index, points[index],
+                decision.outcome, decision.attempts, decision.error,
+                seconds=decision.seconds, worker=os.getpid(),
+                left_golden=decision.left_golden,
+            )
+            return True
+
+        decide_points(
+            self.campaign, points, pending, emit, self._policy,
+            before_batch=lambda batch: not stop.is_set(),
+        )
 
     # ------------------------------------------------------------------
     def _make_pool(self) -> ProcessPoolExecutor:
@@ -797,7 +840,7 @@ class CampaignRunner:
         config = self.config
         timeout = self.wall_timeout()
         queue = deque(pending)
-        attempts: dict[int, int] = dict.fromkeys(pending, 0)
+        attempts = self._policy.attempts
         solo: set[int] = set()  # points of a failed batch run one at a time
         size = 1
         last_error = "unknown"
@@ -881,8 +924,8 @@ class CampaignRunner:
                         last_error = f"{type(exc).__name__}: {exc}"
                     size = 1
                     self._batch_failed(
-                        journal, done, report, points, queue, attempts, solo,
-                        batch, last_error,
+                        journal, done, report, points, queue, solo, batch,
+                        last_error,
                     )
 
                 timed_out = [
@@ -893,8 +936,7 @@ class CampaignRunner:
                 if timed_out:
                     for _, batch in timed_out:
                         self._batch_failed(
-                            journal, done, report, points, queue, attempts,
-                            solo, batch,
+                            journal, done, report, points, queue, solo, batch,
                             f"wall-clock timeout after "
                             f"{timeout * len(batch):.1f}s",
                         )
@@ -938,34 +980,22 @@ class CampaignRunner:
         return fresh, fresh.submit(_worker_probe), False
 
     def _batch_failed(
-        self, journal, done, report, points, queue, attempts, solo,
+        self, journal, done, report, points, queue, solo,
         batch: list[int], error: str,
     ) -> None:
         """A batch of several points goes back free, one point per batch;
-        a one-point batch counts a failed attempt."""
-        if len(batch) == 1:
-            self._register_failure(
-                journal, done, report, points, queue, attempts, batch[0], error
-            )
+        a one-point batch charges a failed attempt: retry or quarantine."""
+        if len(batch) > 1:
+            solo.update(batch)
+            queue.extendleft(reversed(batch))
             return
-        solo.update(batch)
-        queue.extendleft(reversed(batch))
-
-    def _register_failure(
-        self, journal, done, report, points, queue, attempts,
-        index: int, error: str,
-    ) -> None:
-        """Count one failed attempt; retry or quarantine the point."""
+        index = batch[0]
         if index in done:  # already quarantined in this round
             return
-        attempts[index] += 1
-        if attempts[index] > self.config.max_retries:
-            self._quarantine(
-                journal, done, report, index, points[index], attempts[index],
-                error,
-            )
-        else:
-            report.retries += 1
-            counter("campaign.retries").inc()
-            time.sleep(self._retry_delay(attempts[index]))
+        if self._policy.charge(index):
             queue.append(index)
+        else:
+            self._record(
+                journal, done, report, index, points[index], Outcome.ERROR,
+                self._policy.attempts[index], error,
+            )

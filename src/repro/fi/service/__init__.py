@@ -18,8 +18,9 @@ state, any number of stateless injector workers executing shards:
   crash-safe restart from the shard journals, and graceful degradation to
   local execution when no workers are available;
 - :mod:`repro.fi.service.worker` — the blocking injector client: builds
-  the target from the shipped :class:`~repro.fi.runner.TargetSpec`, runs
-  the inline injection path per shard, and streams records plus
+  the target from the shipped :class:`~repro.fi.runner.TargetSpec`,
+  decides each shard with the runner's own lane-batch loop
+  (:func:`~repro.fi.runner.decide_points`), and streams records plus
   :mod:`repro.obs.remote` telemetry back over the wire.
 
 CLI: ``python -m repro.fi serve|worker|submit``.

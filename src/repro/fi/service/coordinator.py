@@ -36,8 +36,8 @@ Failure matrix:
   identical to an uninterrupted run.
 - **zero workers** — after ``fallback_seconds`` without any connected
   worker, shards are executed locally through the same
-  :class:`~repro.fi.service.worker.ShardExecutor` code path (graceful
-  degradation to single-host operation).
+  :func:`~repro.fi.runner.decide_points` loop the workers and ``fi run``
+  use (graceful degradation to single-host operation).
 
 Campaigns queue FIFO; shards dispatch from the oldest campaign that has
 eligible work, so one stuck shard never idles the whole fleet.
@@ -54,9 +54,19 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.fi.campaign import Campaign
 from repro.fi.classify import Outcome
 from repro.fi.journal import CampaignJournal, InjectionRecord
-from repro.fi.runner import TargetSpec, backoff_delay, sample_points
+from repro.fi.runner import (
+    MAX_CYCLES,
+    Decision,
+    RunnerConfig,
+    TargetSpec,
+    auto_ingest,
+    backoff_delay,
+    decide_points,
+    sample_points,
+)
 from repro.fi.service import protocol, shards as shards_mod
 from repro.fi.service.protocol import ProtocolError
 from repro.fi.service.shards import (
@@ -67,7 +77,7 @@ from repro.fi.service.shards import (
     merge_campaign_dir,
     shard_journal_path,
 )
-from repro.fi.service.worker import ShardExecutor
+from repro.fi.service.worker import HEARTBEAT_SECONDS, campaign_for, record_frame
 from repro.fi.targets import NAMED_TARGETS
 from repro.netlist.json_io import netlist_content_hash
 from repro.obs import counter, gauge, health, remote, resource, span
@@ -93,28 +103,18 @@ class ServiceConfig:
     shard_points: int = 250
     #: A leased shard with no frames for this long is declared lost.
     lease_seconds: float = 30.0
-    #: Workers send a heartbeat when idle within a shard this long.
-    heartbeat_seconds: float = 5.0
     #: Reply delay for workers when no shard is eligible.
     idle_delay: float = 1.0
     #: Reassignments of one shard before its missing points quarantine.
     max_shard_retries: int = 3
-    #: Base / cap / jitter of the shard-reassignment backoff.
+    #: Base and cap of the shard-reassignment backoff.
     retry_backoff: float = 0.25
     retry_backoff_cap: float = 5.0
-    retry_jitter: float = 0.25
-    #: Per-point retry bound forwarded to workers (poison-point path).
-    max_retries: int = 1
-    point_retry_backoff: float = 0.05
     #: Degrade to local execution after this long with zero workers
     #: connected; ``None`` disables the fallback entirely.
     fallback_seconds: float | None = 10.0
-    #: Journal fsync batching (records per fsync), as in RunnerConfig.
-    fsync_interval: int = 16
     #: Reaper cadence (lease expiry, fallback, completion checks).
     tick: float = 0.25
-    #: Cycle budget for golden runs of submitted campaigns.
-    default_max_cycles: int = 50_000
     #: Results warehouse for completed campaigns; None disables ingest.
     store_path: str | Path | None = None
     #: When set, the bound port is written here once the server is up —
@@ -235,7 +235,8 @@ class Coordinator:
         self._queue: list[str] = []  # FIFO campaign order
         self._workers: dict[int, _Conn] = {}
         self._next_conn_id = 0
-        self._executor = ShardExecutor()  # local fallback + submit prepare
+        #: Campaigns built for submit prepare and local fallback, per spec.
+        self._built: dict[tuple[str, int], Campaign] = {}
         self._prepare_lock: asyncio.Lock | None = None
         self._local_task: asyncio.Task | None = None
         self._shutdown: asyncio.Event | None = None
@@ -443,7 +444,7 @@ class Coordinator:
                     "kind": "welcome",
                     "version": protocol.PROTOCOL_VERSION,
                     "lease_seconds": self.config.lease_seconds,
-                    "heartbeat_seconds": self.config.heartbeat_seconds,
+                    "heartbeat_seconds": HEARTBEAT_SECONDS,
                 },
             )
             while not self._shutdown.is_set():
@@ -536,10 +537,7 @@ class Coordinator:
             ],
             "indices": shard.missing,
             "lease_seconds": self.config.lease_seconds,
-            "heartbeat_seconds": self.config.heartbeat_seconds,
-            "max_retries": self.config.max_retries,
-            "retry_backoff": self.config.point_retry_backoff,
-            "retry_jitter": self.config.retry_jitter,
+            "heartbeat_seconds": HEARTBEAT_SECONDS,
         }
 
     def _owned_shard(
@@ -591,6 +589,7 @@ class Coordinator:
             error=message.get("error"),
             seconds=message.get("seconds"),
             worker=message.get("worker"),
+            left_golden=message.get("left_golden"),
         )
         if conn is not None:
             conn.records += 1
@@ -603,20 +602,15 @@ class Coordinator:
         index: int,
         record: InjectionRecord,
         attempts: int = 1,
-        error: str | None = None,
-        seconds: float | None = None,
-        worker: int | None = None,
+        **details: object,
     ) -> None:
+        """Journal one record; ``details`` as in ``append_record``."""
         if shard.journal is None:
             shard.journal = CampaignJournal(
                 shard_journal_path(state.directory, shard.shard_id),
                 state.manifest.shard_header(shard.shard_id),
-                self.config.fsync_interval,
             )
-        shard.journal.append_record(
-            index, record, attempts=attempts, error=error,
-            seconds=seconds, worker=worker,
-        )
+        shard.journal.append_record(index, record, attempts=attempts, **details)
         shard.done.add(index)
         state.executed += 1
         state.outcomes[record.outcome.value] = (
@@ -624,7 +618,7 @@ class Coordinator:
         )
         counter("service.records").inc()
         counter(f"campaign.outcome.{record.outcome.value}").inc()
-        if error is not None and record.outcome is Outcome.ERROR:
+        if details.get("error") is not None and record.outcome is Outcome.ERROR:
             shard.quarantined += 1
             counter("service.points.quarantined").inc()
         if self.console is not None and self.console.has_subscribers:
@@ -633,7 +627,7 @@ class Coordinator:
                 {
                     "campaign": state.name,
                     "outcome": record.outcome.value,
-                    "worker": worker,
+                    "worker": details.get("worker"),
                     "done": state.done_points,
                     "total": state.manifest.num_points,
                 },
@@ -704,7 +698,6 @@ class Coordinator:
             shard.retries,
             self.config.retry_backoff,
             cap=self.config.retry_backoff_cap,
-            jitter=self.config.retry_jitter,
         )
         shard.next_eligible = time.monotonic() + delay
         self._log(
@@ -795,9 +788,7 @@ class Coordinator:
         shard_points = int(
             message.get("shard_points") or self.config.shard_points
         )
-        max_cycles = int(
-            message.get("max_cycles") or self.config.default_max_cycles
-        )
+        max_cycles = int(message.get("max_cycles") or MAX_CYCLES)
         if not name:
             name = f"{target.replace(':', '_').replace('/', '_')}-s{seed}"
         if name in self._campaigns:
@@ -867,11 +858,11 @@ class Coordinator:
         """Build the target once (coordinator side) and write the manifest.
 
         Runs in a thread: synthesis + compile + golden run take seconds.
-        The built campaign stays cached in the local :class:`ShardExecutor`
-        so a graceful-degradation fallback pays nothing extra.
+        The built campaign stays cached for the local fallback, so a
+        graceful-degradation fallback pays nothing extra.
         """
         with span("service/prepare", campaign=name):
-            campaign = self._executor.campaign_for(spec.to_dict(), max_cycles)
+            campaign = campaign_for(self._built, spec.to_dict(), max_cycles)
             netlist = campaign.target.simulator.netlist
             points = sample_points(
                 netlist, campaign.golden_cycles, sampled, seed or 0
@@ -1064,45 +1055,28 @@ class Coordinator:
     def _execute_shard_locally(self, lease: dict) -> None:
         """Run one leased shard in this process (thread context).
 
-        Records funnel back into :meth:`_handle_record` on the event loop,
-        so journaling, duplicate handling, and completion checks are the
-        same code that serves remote workers.
+        The points are decided by the same loop as on a worker; records
+        funnel back into :meth:`_handle_record` on the event loop, so
+        journaling, duplicate handling, and completion checks are the same
+        code that serves remote workers.
         """
         assert self._loop is not None
-        campaign = self._executor.campaign_for(
-            lease["target"], int(lease["max_cycles"])
+        campaign = campaign_for(
+            self._built, lease["target"], int(lease["max_cycles"])
         )
         points = [(dff, int(cycle)) for dff, cycle in lease["points"]]
-        for index in lease["indices"]:
-            dff_name, cycle = points[index]
-            outcome, attempts, seconds, error = (
-                self._executor.inject_with_retry(
-                    campaign, dff_name, cycle,
-                    max_retries=self.config.max_retries,
-                    retry_backoff=self.config.point_retry_backoff,
-                    retry_jitter=self.config.retry_jitter,
-                )
-            )
-            record = {
-                "kind": "record",
-                "campaign": lease["campaign"],
-                "shard": lease["shard"],
-                "i": index,
-                "dff": dff_name,
-                "cycle": cycle,
-                "outcome": outcome.value,
-                "attempts": attempts,
-                "seconds": round(seconds, 6),
-                "worker": None,
-            }
-            if error is not None:
-                record["error"] = error
-            future = asyncio.run_coroutine_threadsafe(
-                self._accept_local_record(record), self._loop
-            )
-            reply = future.result()
-            if reply.get("kind") == "abort":
-                return
+
+        def emit(index: int, decision: Decision) -> bool:
+            frame = record_frame(lease, index, points[index], decision, None)
+            reply = asyncio.run_coroutine_threadsafe(
+                self._accept_local_record(frame), self._loop
+            ).result()
+            return reply.get("kind") != "abort"
+
+        decide_points(
+            campaign, points, lease["indices"], emit,
+            RunnerConfig().retry_policy(),
+        )
 
     async def _accept_local_record(self, record: dict) -> dict:
         return self._handle_record(LOCAL_OWNER, record, None)
@@ -1138,29 +1112,16 @@ class Coordinator:
 
     def _ingest(self, state: _CampaignState, merged: Path) -> None:
         """Warehouse the merged journal (never fails the campaign)."""
-        from repro.store import ResultsStore
-
         telemetry_dir = state.directory / TELEMETRY_DIR
-        try:
-            with span("store/auto-ingest"), ResultsStore(
-                self.config.store_path
-            ) as store:
-                store_id = store.ingest_journal(
-                    merged,
-                    telemetry_dir=(
-                        telemetry_dir if telemetry_dir.is_dir() else None
-                    ),
-                )
-            state.store_id = store_id
+        state.store_id = auto_ingest(
+            self.config.store_path, merged,
+            telemetry_dir if telemetry_dir.is_dir() else None,
+            log=lambda msg: self._log(f"coordinator: {msg}"),
+        )
+        if state.store_id is not None:
             self._log(
                 f"coordinator: warehoused {state.name!r} as campaign "
-                f"#{store_id}"
-            )
-        except Exception as exc:  # noqa: BLE001 - warehouse must not kill runs
-            counter("store.ingest.errors").inc()
-            self._log(
-                f"coordinator: could not ingest {merged} into "
-                f"{self.config.store_path}: {exc}"
+                f"#{state.store_id}"
             )
 
 

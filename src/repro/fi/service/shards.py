@@ -39,8 +39,8 @@ from repro.fi.journal import (
     CampaignJournal,
     JournalError,
     JournalState,
+    journal_header,
     load_journal,
-    points_hash,
 )
 
 MANIFEST_VERSION = 1
@@ -127,40 +127,24 @@ class CampaignManifest:
 
     def header(self) -> dict:
         """The merged-journal header — identical to a single-host run's."""
-        header = {
-            "target": dict(self.target),
-            "workload": self.workload,
-            "netlist_hash": self.netlist_hash,
-            "points_hash": points_hash(self.points),
-            "seed": self.seed,
-            "num_points": len(self.points),
-            "golden_cycles": self.golden_cycles,
-            "max_cycles": self.max_cycles,
-            "points": [[dff, cycle] for dff, cycle in self.points],
-        }
-        if self.meta:
-            header["meta"] = dict(self.meta)
-        return header
+        return self._header(self.points, self.meta)
 
     def shard_header(self, shard_id: int) -> dict:
         """The journal header of one shard (keyed by its own sub-list)."""
         start, stop = self.shard_slice(shard_id)
-        sub = self.points[start:stop]
-        return {
-            "target": dict(self.target),
-            "workload": self.workload,
-            "netlist_hash": self.netlist_hash,
-            "points_hash": points_hash(sub),
-            "seed": self.seed,
-            "num_points": len(sub),
-            "golden_cycles": self.golden_cycles,
-            "max_cycles": self.max_cycles,
-            "points": [[dff, cycle] for dff, cycle in sub],
-            "meta": {
+        return self._header(
+            self.points[start:stop],
+            {
                 "campaign": self.name,
                 "shard": {"id": shard_id, "start": start, "stop": stop},
             },
-        }
+        )
+
+    def _header(self, points: list[tuple[str, int]], meta: dict) -> dict:
+        return journal_header(
+            self.target, self.workload, self.netlist_hash, self.seed,
+            self.golden_cycles, self.max_cycles, points, meta,
+        )
 
     # ------------------------------------------------------------------
     def save(self, directory: str | Path) -> Path:
@@ -360,9 +344,10 @@ def merge_campaign_dir(
 
     The merged journal carries the exact single-host header (full point
     list, full-list ``points_hash``) and its records in global index order
-    with their per-record details (attempts, seconds, worker, error)
-    preserved, so it loads, resumes-checks, diffs, and warehouse-ingests
-    exactly like a journal ``fi run`` wrote directly. Raises
+    with every per-record detail the shard journals hold (attempts, error,
+    seconds, worker, ``left_golden``, pruning provenance, and fields this
+    version does not name) preserved, so it loads, resumes-checks, diffs,
+    and warehouse-ingests exactly like a journal ``fi run`` wrote directly. Raises
     :class:`ShardError` while any shard is incomplete; an existing merged
     journal is reused unless ``force``. The write is atomic (temp file +
     ``os.replace``) — a crash mid-merge never leaves a half journal.
@@ -399,14 +384,7 @@ def merge_campaign_dir(
     with CampaignJournal(tmp, manifest.header()) as journal:
         for index in range(manifest.num_points):
             record, detail = records[index]
-            journal.append_record(
-                index,
-                record,
-                attempts=detail.get("attempts", 1),
-                error=detail.get("error"),
-                seconds=detail.get("seconds"),
-                worker=detail.get("worker"),
-            )
+            journal.append_record(index, record, **{"attempts": 1, **detail})
         journal.mark_complete(manifest.num_points)
     os.replace(tmp, merged_path)
     return merged_path

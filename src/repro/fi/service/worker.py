@@ -4,17 +4,18 @@ A worker owns no durable state at all — every outcome it produces is
 streamed to the coordinator record by record, and the coordinator journals
 them. That makes the worker's failure story trivial: SIGKILL one mid-shard
 and the coordinator's lease machinery re-runs only the shard's missing
-points on another worker; nothing is lost but the in-flight injection.
+points on another worker; nothing is lost but the in-flight lane batch.
 
-Per shard the worker runs the existing inline injection path — build the
-target from the shipped :class:`~repro.fi.runner.TargetSpec` (cached per
-spec, so consecutive shards of one campaign reuse the compiled simulator
-and golden run), inject each outstanding point with the runner's bounded
-retry + jittered backoff, and stream one ``record`` frame per outcome.
-Telemetry (:mod:`repro.obs.remote` spans and metrics) is buffered locally
-and piggybacked on those frames; the coordinator relays it into the
-campaign's telemetry directory, so dashboards, Prometheus export, and the
-warehouse see remote workers exactly like local pool workers.
+Per shard the worker runs the single-host runner's own in-process loop,
+:func:`repro.fi.runner.decide_points` — build the target from the shipped
+:class:`~repro.fi.runner.TargetSpec` (cached per spec, so consecutive
+shards of one campaign reuse the compiled simulator and golden run),
+decide the outstanding points in golden-shadow lane batches under the
+runner's retry and quarantine policy, and stream one ``record`` frame per
+point. Telemetry (:mod:`repro.obs.remote` spans and metrics) is buffered
+locally and piggybacked on those frames; the coordinator relays it into
+the campaign's telemetry directory, so dashboards, Prometheus export, and
+the warehouse see remote workers exactly like local pool workers.
 
 A worker survives coordinator restarts: a dropped connection is retried
 with jittered backoff for a bounded number of consecutive attempts before
@@ -23,85 +24,77 @@ the worker gives up.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import time
 
 from repro.fi.campaign import Campaign
-from repro.fi.classify import Outcome
-from repro.fi.runner import TargetSpec, backoff_delay
+from repro.fi.runner import (
+    Decision,
+    RunnerConfig,
+    TargetSpec,
+    backoff_delay,
+    decide_points,
+)
 from repro.fi.service import protocol
 from repro.fi.service.protocol import Connection, ProtocolError
 from repro.obs import counter, events, remote, resource, span
 
+#: A worker inside a shard sends a heartbeat before a lane batch when it
+#: has sent nothing for this long (seconds).
+HEARTBEAT_SECONDS = 5.0
 
-class ShardExecutor:
-    """Builds (and caches) campaigns per target spec; injects shard points.
 
-    Also used by the coordinator's local-fallback path, so the remote and
-    degraded execution modes share one code path.
+def campaign_for(
+    cache: dict[tuple[str, int], Campaign], spec_doc: dict, max_cycles: int
+) -> Campaign:
+    """The campaign for one target spec, built once per ``cache``.
+
+    Building runs synthesis, compile, and the golden execution — the
+    expensive part of taking a first shard of a new campaign; every later
+    shard with the same spec is free.
     """
+    key = (json.dumps(spec_doc, sort_keys=True), max_cycles)
+    if key not in cache:
+        with span("service/build-target"):
+            target = TargetSpec.from_dict(spec_doc).build()
+            cache[key] = Campaign(target, max_cycles=max_cycles)
+    return cache[key]
 
-    def __init__(self) -> None:
-        self._campaigns: dict[tuple[str, int], Campaign] = {}
 
-    def campaign_for(self, spec_doc: dict, max_cycles: int) -> Campaign:
-        """The (cached) campaign for one target spec.
-
-        Building runs synthesis, compile, and the golden execution — the
-        expensive part of taking a first shard of a new campaign; every
-        later shard with the same spec is free.
-        """
-        import json
-
-        key = (json.dumps(spec_doc, sort_keys=True), max_cycles)
-        if key not in self._campaigns:
-            with span("service/build-target"):
-                target = TargetSpec.from_dict(spec_doc).build()
-                self._campaigns[key] = Campaign(target, max_cycles=max_cycles)
-        return self._campaigns[key]
-
-    def inject_with_retry(
-        self,
-        campaign: Campaign,
-        dff_name: str,
-        cycle: int,
-        max_retries: int,
-        retry_backoff: float,
-        retry_jitter: float,
-    ) -> tuple[Outcome, int, float, str | None]:
-        """One point through the inline retry path.
-
-        Returns ``(outcome, attempts, seconds, error)``; exhausted retries
-        quarantine the point as a terminal :attr:`Outcome.ERROR` record —
-        the same poison-point semantics as the single-host runner.
-        """
-        attempts = 0
-        while True:
-            attempts += 1
-            start = time.monotonic()
-            try:
-                outcome = campaign.inject(dff_name, cycle)
-            except Exception as exc:  # noqa: BLE001 - quarantine boundary
-                error = f"{type(exc).__name__}: {exc}"
-                if attempts > max_retries:
-                    counter("service.worker.quarantined").inc()
-                    return (
-                        Outcome.ERROR, attempts,
-                        time.monotonic() - start, error,
-                    )
-                counter("service.worker.retries").inc()
-                time.sleep(
-                    backoff_delay(attempts, retry_backoff, jitter=retry_jitter)
-                )
-            else:
-                return outcome, attempts, time.monotonic() - start, None
+def record_frame(
+    lease: dict,
+    index: int,
+    point: tuple[str, int],
+    decision: Decision,
+    worker: int | None,
+) -> dict:
+    """The ``record`` frame of one decided point of a leased shard."""
+    frame = {
+        "kind": "record",
+        "campaign": lease["campaign"],
+        "shard": lease["shard"],
+        "i": index,
+        "dff": point[0],
+        "cycle": point[1],
+        "outcome": decision.outcome.value,
+        "attempts": decision.attempts,
+        "worker": worker,
+    }
+    if decision.seconds is not None:
+        frame["seconds"] = round(decision.seconds, 6)
+    if decision.error is not None:
+        frame["error"] = decision.error
+    if decision.left_golden is not None:
+        frame["left_golden"] = decision.left_golden
+    return frame
 
 
 def _run_shard(
     connection: Connection,
-    shard_msg: dict,
-    executor: ShardExecutor,
+    lease: dict,
+    campaigns: dict[tuple[str, int], Campaign],
     buffer: remote.TelemetryBuffer,
 ) -> None:
     """Execute one leased shard, streaming records in lockstep.
@@ -111,67 +104,55 @@ def _run_shard(
     reply — the lease expired and the shard was reassigned — drops the
     rest of the shard silently.
     """
-    campaign_name = shard_msg["campaign"]
-    shard_id = shard_msg["shard"]
-    points = [(dff, int(cycle)) for dff, cycle in shard_msg["points"]]
-    campaign = executor.campaign_for(
-        shard_msg["target"], int(shard_msg["max_cycles"])
-    )
-    heartbeat_seconds = float(shard_msg.get("heartbeat_seconds", 5.0))
+    points = [(dff, int(cycle)) for dff, cycle in lease["points"]]
+    campaign = campaign_for(campaigns, lease["target"], int(lease["max_cycles"]))
+    heartbeat_seconds = float(lease.get("heartbeat_seconds", HEARTBEAT_SECONDS))
     last_sent = time.monotonic()
-    with span(
-        "service/shard", campaign=campaign_name, shard=shard_id,
-        points=len(shard_msg["indices"]),
-    ):
-        for index in shard_msg["indices"]:
-            if time.monotonic() - last_sent > heartbeat_seconds:
-                reply = connection.call(
-                    {
-                        "kind": "heartbeat",
-                        "campaign": campaign_name,
-                        "shard": shard_id,
-                    }
-                )
-                last_sent = time.monotonic()
-                if reply.get("kind") == "abort":
-                    return
+    aborted = False
+
+    def call(frame: dict) -> bool:
+        nonlocal last_sent, aborted
+        reply = connection.call(frame)
+        last_sent = time.monotonic()
+        aborted = reply.get("kind") == "abort"
+        return not aborted
+
+    def before_batch(batch: list[int]) -> bool:
+        if time.monotonic() - last_sent > heartbeat_seconds and not call(
+            {"kind": "heartbeat", "campaign": lease["campaign"],
+             "shard": lease["shard"]}
+        ):
+            return False
+        for index in batch:
             dff_name, cycle = points[index]
             buffer.emit("inject-start", i=index, dff=dff_name, cycle=cycle)
-            outcome, attempts, seconds, error = executor.inject_with_retry(
-                campaign, dff_name, cycle,
-                max_retries=int(shard_msg.get("max_retries", 1)),
-                retry_backoff=float(shard_msg.get("retry_backoff", 0.05)),
-                retry_jitter=float(shard_msg.get("retry_jitter", 0.25)),
-            )
-            # Refresh this worker's resource.* gauges (rate-limited) so
-            # the cumulative snapshot below carries host health home.
-            resource.sample_self()
-            buffer.flush_metrics()
-            record = {
-                "kind": "record",
-                "campaign": campaign_name,
-                "shard": shard_id,
-                "i": index,
-                "dff": dff_name,
-                "cycle": cycle,
-                "outcome": outcome.value,
-                "attempts": attempts,
-                "seconds": round(seconds, 6),
-                "worker": os.getpid(),
-                "telemetry": buffer.drain(),
-            }
-            if error is not None:
-                record["error"] = error
-            reply = connection.call(record)
-            last_sent = time.monotonic()
-            if reply.get("kind") == "abort":
-                return
+        return True
+
+    def emit(index: int, decision: Decision) -> bool:
+        # Refresh this worker's resource.* gauges (rate-limited) so the
+        # cumulative snapshot below carries host health home.
+        resource.sample_self()
+        buffer.flush_metrics()
+        frame = record_frame(lease, index, points[index], decision, os.getpid())
+        frame["telemetry"] = buffer.drain()
+        return call(frame)
+
+    with span(
+        "service/shard", campaign=lease["campaign"], shard=lease["shard"],
+        points=len(lease["indices"]),
+    ):
+        decide_points(
+            campaign, points, lease["indices"], emit,
+            RunnerConfig().retry_policy(), before_batch=before_batch,
+        )
+    if aborted:
+        return
     buffer.flush_metrics()
     connection.call(
         {
             "kind": "shard_done",
-            "campaign": campaign_name,
-            "shard": shard_id,
+            "campaign": lease["campaign"],
+            "shard": lease["shard"],
             "telemetry": buffer.drain(),
         }
     )
@@ -197,7 +178,7 @@ def run_worker(
     ``--auth-token``; a wrong or missing token is rejected at handshake.
     """
     log = log or (lambda msg: print(msg, file=sys.stderr))
-    executor = ShardExecutor()
+    campaigns: dict[tuple[str, int], Campaign] = {}
     buffer = remote.TelemetryBuffer()
     events.install_sink(buffer)
     failures = 0
@@ -229,7 +210,7 @@ def run_worker(
                     reply = connection.call({"kind": "request"})
                     kind = reply.get("kind")
                     if kind == "shard":
-                        _run_shard(connection, reply, executor, buffer)
+                        _run_shard(connection, reply, campaigns, buffer)
                     elif kind == "idle":
                         # Blocking sleep is fine: there is nothing else to do.
                         time.sleep(float(reply.get("delay", 1.0)))

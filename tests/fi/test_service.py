@@ -35,8 +35,11 @@ from repro.fi.service import protocol
 from repro.fi.service.protocol import Connection, ProtocolError, handshake
 from repro.fi.service.shards import ShardError, shard_journal_path
 
+from .runner_targets import TRIP_FF
+
 ACCUM = "tests.fi.runner_targets:accum_target"
 ACCUM_SPEC = TargetSpec(factory=ACCUM)
+RAISING = "tests.fi.runner_targets:raising_target"
 
 
 # ----------------------------------------------------------------------
@@ -192,9 +195,15 @@ class TestMerge:
             [Outcome.SDC] * 4,
             [Outcome.BENIGN, Outcome.BENIGN],
         ]
+        provenance = [
+            {},
+            {"left_golden": 2},
+            {"pruned_by": "defuse", "equivalence_rep": ("ff0", 0)},
+        ]
         for shard_id, outcomes in enumerate(per_shard):
             _write_shard(tmp_path, manifest, shard_id, outcomes,
-                         worker=4000 + shard_id, seconds=0.25)
+                         worker=4000 + shard_id, seconds=0.25,
+                         **provenance[shard_id])
 
         merged = merge_campaign_dir(tmp_path)
         state = load_journal(merged)
@@ -207,6 +216,11 @@ class TestMerge:
         # Per-record details survive the merge (who ran what, how long).
         assert state.details[4]["worker"] == 4001
         assert state.details[9]["seconds"] == 0.25
+        # So does lane and pruning provenance, and only where it was set.
+        assert state.details[4]["left_golden"] == 2
+        assert "left_golden" not in state.details[0]
+        assert state.details[9]["pruned_by"] == "defuse"
+        assert state.details[9]["equivalence_rep"] == ["ff0", 0]
 
     def test_merge_refuses_incomplete_shards(self, tmp_path):
         manifest = _manifest(_points(10))
@@ -593,6 +607,116 @@ class TestEndToEnd:
         assert "sharded" in out
         assert "4/10 injections recorded across 3 shard(s)" in out
         assert "partial" in out
+
+
+# ----------------------------------------------------------------------
+# One injection policy: service points are decided like ``fi run``'s
+# ----------------------------------------------------------------------
+def _quarantined(state):
+    """``{index: (attempts, error)}`` of every quarantined record."""
+    return {
+        index: (state.details[index]["attempts"], state.details[index]["error"])
+        for index, record in state.records.items()
+        if record.outcome is Outcome.ERROR
+    }
+
+
+class TestOnePolicy:
+    def test_local_fallback_quarantines_like_the_inline_runner(self, tmp_path):
+        runner = CampaignRunner(
+            TargetSpec(factory=RAISING),
+            RunnerConfig(workers=0, install_signal_handlers=False),
+        )
+        points = runner.sample_points(60, seed=4)  # 5 of them on the trip FF
+        assert sum(dff == TRIP_FF for dff, _ in points) >= 2
+        assert runner.run(points, tmp_path / "ref.jsonl", seed=4).complete
+        reference = load_journal(tmp_path / "ref.jsonl")
+
+        with coordinator(
+            tmp_path, fallback_seconds=0.1, lease_seconds=30.0
+        ) as coord:
+            with _client(coord) as client:
+                reply = client.call(
+                    {
+                        "kind": "submit", "target": RAISING, "sampled": 60,
+                        "seed": 4, "name": "raising", "shard_points": 10,
+                    }
+                )
+                assert reply["kind"] == "queued"
+                _wait_status(
+                    client, "raising", lambda c: c["status"] == "complete"
+                )
+        merged = load_journal(tmp_path / "campaigns" / "raising" / "merged.jsonl")
+
+        quarantined = _quarantined(reference)
+        assert set(quarantined) == {
+            i for i, (dff, _) in enumerate(points) if dff == TRIP_FF
+        }
+        assert _quarantined(merged) == quarantined
+        assert {
+            attempts for attempts, _ in quarantined.values()
+        } == {2}  # the default bound: one retry, then quarantine
+        assert [r.outcome for _, r in sorted(merged.records.items())] == [
+            r.outcome for _, r in sorted(reference.records.items())
+        ]
+
+    def test_remote_worker_matches_single_host_provenance(self, tmp_path):
+        from repro.fi.__main__ import main
+
+        reference = tmp_path / "ref.jsonl"
+        assert main(
+            [
+                "run", "--target", ACCUM, "--sampled", "24", "--seed", "0",
+                "--workers", "0", "--journal", str(reference), "--no-store",
+            ]
+        ) == 0
+        with coordinator(tmp_path, lease_seconds=30.0) as coord:
+            worker = threading.Thread(
+                target=run_worker,
+                args=("127.0.0.1", coord.port),
+                # Exit at the first lost connection, not after the backoff.
+                kwargs={"log": lambda msg: None, "reconnect_attempts": 0},
+                daemon=True,
+            )
+            worker.start()
+            with _client(coord) as client:
+                assert _submit(
+                    client, sampled=24, shard_points=7
+                )["kind"] == "queued"
+                _wait_status(
+                    client, "svc", lambda c: c["status"] == "complete"
+                )
+            coord.request_shutdown()
+            worker.join(60)
+            assert not worker.is_alive()
+
+        def provenance(state):
+            return [
+                (
+                    i, record.dff_name, record.cycle, record.outcome,
+                    state.details[i].get("left_golden"),
+                )
+                for i, record in sorted(state.records.items())
+            ]
+
+        expected = provenance(load_journal(reference))
+        assert any(row[4] is not None for row in expected)
+        assert any(row[4] is None for row in expected)
+        merged = load_journal(tmp_path / "campaigns" / "svc" / "merged.jsonl")
+        assert provenance(merged) == expected
+
+    def test_service_path_never_injects_point_by_point(self):
+        from pathlib import Path
+
+        from repro.fi import service
+        from repro.fi.service import worker
+
+        assert not hasattr(worker, "ShardExecutor")
+        sources = sorted(Path(service.__file__).parent.glob("*.py"))
+        assert sources
+        assert [
+            path.name for path in sources if ".inject(" in path.read_text()
+        ] == []
 
 
 # ----------------------------------------------------------------------
