@@ -49,6 +49,9 @@ prune-smoke:     ## def-use pruning: audit, accounting, collapsed-vs-full gate
 		$(SMOKE)/prune-accounting.txt $(SMOKE)/prune-full.jsonl \
 		$(SMOKE)/prune-full.jsonl.telemetry $(SMOKE)/prune-defuse.jsonl \
 		$(SMOKE)/prune-defuse.jsonl.telemetry
+	# The lane-kernel def-use pass must rebuild all four committed maps
+	# byte for byte. Runs first: the audits below rewrite the map cache.
+	$(PYTHON) -m pytest -q tests/prune/test_lane_events.py -k byte_identical
 	# Sampled prune.* audit on both cores and both programs: any refuted
 	# claim is an error-severity finding, which exits 1 and fails the job.
 	$(PYTHON) -m repro.lint avr msp430 --audit-prune \

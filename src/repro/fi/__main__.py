@@ -209,7 +209,7 @@ def _defuse_plan(
     """
     from repro.prune import account, get_equivalence_map
 
-    equivalence_map = get_equivalence_map(target)
+    equivalence_map = get_equivalence_map(target, runner.campaign)
     if equivalence_map.golden_cycles != runner.golden_cycles:
         raise ValueError(
             f"stale equivalence map for {target}: covers "
@@ -460,7 +460,9 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         from repro.prune import get_equivalence_map
 
         plan = (
-            get_equivalence_map(workload).collapse(state.points).annotation_plan()
+            get_equivalence_map(workload, runner.campaign)
+            .collapse(state.points)
+            .annotation_plan()
         )
     return _execute(
         runner, state.points, args, resume=True,

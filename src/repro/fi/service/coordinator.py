@@ -86,6 +86,10 @@ from repro.obs.http import ConsoleProvider, ConsoleServer, merged_metrics_text
 #: Lease owner id of the coordinator's own local-fallback executor.
 LOCAL_OWNER = -1
 
+#: On graceful shutdown, how long past one ``idle_delay`` connected
+#: workers get to ask for work, be told ``shutdown`` and hang up.
+SHUTDOWN_GRACE = 1.0
+
 PENDING = "pending"
 LEASED = "leased"
 DONE = "done"
@@ -321,8 +325,16 @@ class Coordinator:
             if self.console is not None:
                 await self.console.stop()
                 (self.state_dir / CONSOLE_NAME).unlink(missing_ok=True)
-            # Nudge idle connections out of their blocking read so the
-            # handlers finish on their own instead of being cancelled.
+            # A connected worker gets "shutdown" as the reply to its next
+            # request and hangs up, so give workers that long before
+            # nudging every connection left out of its blocking read (the
+            # handlers then finish on their own instead of being cancelled).
+            workers = {conn.writer for conn in self._workers.values()}
+            for writer in self._open_writers - workers:
+                writer.close()
+            deadline = time.monotonic() + self.config.idle_delay + SHUTDOWN_GRACE
+            while self._workers and time.monotonic() < deadline:
+                await asyncio.sleep(0.02)
             for writer in list(self._open_writers):
                 writer.close()
             await self._server.wait_closed()

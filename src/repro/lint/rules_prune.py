@@ -75,7 +75,7 @@ def check_certificates(
             yield rule_def.diagnostic(
                 location=f"{target.name}:{claim.dff}",
                 message=problem,
-                hint="the vectorized analysis and the scalar checker "
+                hint="the lane-kernel analysis and the scalar checker "
                 "disagree — rerun with a fresh equivalence map before "
                 "trusting either",
             )

@@ -77,6 +77,7 @@ class Netlist:
         self.dffs: dict[str, DFF] = {}
         #: Free-form metadata (e.g. which DFFs belong to the register file).
         self.attributes: dict[str, object] = {}
+        self._wires: frozenset[str] | None = None
         self._drivers: dict[str, object] | None = None
         self._readers: dict[str, list[tuple[Gate, str]]] | None = None
         self._topo: list[Gate] | None = None
@@ -85,6 +86,7 @@ class Netlist:
     # construction
     # ------------------------------------------------------------------
     def _invalidate(self) -> None:
+        self._wires = None
         self._drivers = None
         self._readers = None
         self._topo = None
@@ -142,16 +144,18 @@ class Netlist:
     # ------------------------------------------------------------------
     # graph queries
     # ------------------------------------------------------------------
-    def wires(self) -> set[str]:
+    def wires(self) -> frozenset[str]:
         """Every wire name mentioned anywhere in the netlist."""
-        wires: set[str] = set(self.inputs) | set(self.outputs) | set(CONST_WIRES)
-        for gate in self.gates.values():
-            wires.update(gate.inputs.values())
-            wires.add(gate.output)
-        for dff in self.dffs.values():
-            wires.add(dff.d)
-            wires.add(dff.q)
-        return wires
+        if self._wires is None:
+            wires: set[str] = set(self.inputs) | set(self.outputs) | set(CONST_WIRES)
+            for gate in self.gates.values():
+                wires.update(gate.inputs.values())
+                wires.add(gate.output)
+            for dff in self.dffs.values():
+                wires.add(dff.d)
+                wires.add(dff.q)
+            self._wires = frozenset(wires)
+        return self._wires
 
     def driver_map(self) -> dict[str, object]:
         """Map wire -> driving Gate, DFF, or the string ``"input"``/``"const"``."""

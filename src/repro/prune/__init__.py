@@ -2,12 +2,14 @@
 
 The MATE layer (``repro.core``) prunes the (flip-flop × cycle) fault space
 at the *gate* level: a cycle whose masking condition holds cannot propagate.
-This package adds the *cross-layer* counterpart: a static def-use analysis
-over the golden trace that classifies every injection point by what happens
-to the flipped bit in its own cycle — it either **escapes** (reaches another
+This package adds the *cross-layer* counterpart: a def-use analysis over
+the golden run that classifies every injection point by what happens to
+the flipped bit in its own cycle — it either **escapes** (reaches another
 flip-flop, a primary output, or a testbench read), **holds** (survives as
 the same single-bit flip into the next cycle), or is **killed** (overwritten
-with the golden value). Hold-runs partition each wire's cycle axis into
+with the golden value). One lane-kernel step per golden cycle, with
+flip-flop *i* flipped in lane *i*, classifies every flip-flop at once
+(:func:`golden_events`). Hold-runs partition each wire's cycle axis into
 equivalence intervals: a run ending in a kill is provably benign (*dead*),
 a run ending in an escape needs exactly one representative injection
 (*live*), and a run reaching the end of the trace keeps one representative
@@ -19,7 +21,7 @@ that :mod:`repro.prune.certificate` re-derives with an independent scalar
 full-netlist evaluation — zero injection simulations on the happy path.
 """
 
-from repro.prune.access import EVENT_ESCAPE, EVENT_HOLD, EVENT_KILL, wire_events
+from repro.prune.access import EVENT_ESCAPE, EVENT_HOLD, EVENT_KILL, golden_events
 from repro.prune.accounting import PruneAccounting, account, build_layered_space
 from repro.prune.analyze import (
     DefUseAnalysis,
@@ -56,6 +58,6 @@ __all__ = [
     "get_analysis",
     "get_equivalence_map",
     "get_prune_audit",
+    "golden_events",
     "partition_events",
-    "wire_events",
 ]

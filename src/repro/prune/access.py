@@ -1,36 +1,38 @@
-"""Per-cycle def-use access events, vectorized over the golden trace.
+"""Per-cycle def-use access events, from one lane-kernel pass per golden cycle.
 
-For one fault wire ``w`` (a flip-flop Q output) and every cycle ``c`` of the
-golden run, we ask: if the machine state at the start of ``c`` were exactly
-the golden state with bit ``w`` flipped, where does the difference go during
-``c``? The answer is one of three *events*:
+For one flip-flop ``i`` and every cycle ``c`` of the golden run, we ask: if
+the machine state at the start of ``c`` were exactly the golden state with
+bit ``i`` flipped, where does the difference go during ``c``? The answer is
+one of three *events*:
 
 - ``'e'`` (**escape**) — the difference reaches another flip-flop's D pin, a
-  primary output, or the testbench read ``w`` that cycle. The fault becomes
+  primary output, or the testbench read ``i`` that cycle. The fault becomes
   observable or multi-bit; static reasoning stops here.
-- ``'h'`` (**hold**) — no escape, and ``w``'s own D value differs from
+- ``'h'`` (**hold**) — no escape, and ``i``'s own D value differs from
   golden. Since golden D at ``c`` is golden Q at ``c+1``, the faulty next
-  state is again *golden with bit ``w`` flipped*: injecting at ``c`` is
+  state is again *golden with bit ``i`` flipped*: injecting at ``c`` is
   bit-for-bit equivalent to injecting at ``c+1``.
-- ``'k'`` (**kill**) — no escape, and ``w``'s own D matches golden: the
+- ``'k'`` (**kill**) — no escape, and ``i``'s own D matches golden: the
   flip is overwritten and the run reconverges with the golden run.
 
-Because every cycle's evaluation depends only on the golden trace (all cone
-border wires carry golden values), the per-cycle events are computed for all
-cycles at once: each cone gate is evaluated as a truth-table lookup over
-full trace columns.
+Every flip-flop's answer for one cycle comes from a single call of the
+netlist's lane kernel (:attr:`~repro.sim.compiler.CompiledNetlist.lane_step`):
+lane ``i`` starts from golden's checkpoint with flip-flop ``i`` flipped and
+is stepped once on golden's recorded inputs. Comparing the lanes' next state
+and outputs with golden's gives the whole one-cycle fault-effect matrix of
+that cycle — a gate-level dynamic slice per flip-flop.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from functools import reduce
+from operator import and_, getitem, or_, xor
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cells.library import Cell
-from repro.core.cone import compute_fault_cone
-from repro.netlist.netlist import Netlist
-from repro.trace.trace import Trace
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.fi.campaign import Campaign
 
 #: Event codes (one character per cycle).
 EVENT_ESCAPE = "e"
@@ -38,96 +40,68 @@ EVENT_HOLD = "h"
 EVENT_KILL = "k"
 
 
-def _cell_lut(cell: Cell, cache: dict[str, np.ndarray] | None) -> np.ndarray:
-    """Truth table of one cell as a ``2**npins`` lookup array."""
-    if cache is not None:
-        lut = cache.get(cell.name)
-        if lut is not None:
-            return lut
-    func = cell.function
-    npins = len(func.pins)
-    if npins > 16:
-        raise ValueError(f"cell {cell.name} has {npins} pins; LUT limit is 16")
-    lut = np.array(
-        [(func.table >> row) & 1 for row in range(1 << npins)], dtype=np.uint8
-    )
-    if cache is not None:
-        cache[cell.name] = lut
-    return lut
+def golden_events(campaign: Campaign) -> dict[str, str]:
+    """Per-cycle event string (``'e'``/``'h'``/``'k'``) of every flip-flop.
 
-
-def wire_events(
-    netlist: Netlist,
-    trace: Trace,
-    dff_name: str,
-    reads: Sequence[frozenset[str]] | None = None,
-    lut_cache: dict[str, np.ndarray] | None = None,
-) -> str:
-    """Per-cycle event string (``'e'``/``'h'``/``'k'``) for one flip-flop.
-
-    ``trace`` is the golden campaign trace (halting run, every wire
-    recorded); ``reads`` the per-cycle DFF-name sets the testbench read
-    during that same run (see ``Simulator.run(record_reads=True)``) — when
-    omitted, testbench reads are not treated as uses, which is only sound
-    for testbenches that never read state.
+    Reads only what the campaign's golden run kept: the per-cycle
+    checkpoints, the recorded input and output bits, the final state and
+    the flip-flops the testbench read in each cycle (a read is a use, so it
+    is an escape). Keys follow the netlist's flip-flop order.
     """
-    dff = netlist.dffs[dff_name]
-    fault_wire = dff.q
-    num_cycles = trace.num_cycles
-    if reads is not None and len(reads) != num_cycles:
-        raise ValueError(
-            f"reads length {len(reads)} != trace cycles {num_cycles}"
+    compiled = campaign.target.simulator.compiled
+    step = compiled.lane_step
+    num_ffs = len(compiled.dff_names)
+    mask = (1 << num_ffs) - 1
+    every_lane = (0, mask).__getitem__  # a golden bit, copied into every lane
+    own = [1 << i for i in range(num_ffs)]  # lane i flips flip-flop i
+    others = [mask ^ bit for bit in own]
+    # Lane values of FF i at the start of a cycle, by its golden bit.
+    flipped = list(zip(own, others))
+    checkpoints, reads, io = (
+        campaign.checkpoints,
+        campaign._golden_reads,
+        campaign._golden.io,
+    )
+    num_cycles = campaign.golden_cycles
+    escapes: list[int] = []
+    holds: list[int] = []
+    for cycle in range(num_cycles):
+        state = list(map(getitem, flipped, checkpoints[cycle].state))
+        in_bits, out_bits = io[cycle]
+        next_state, outputs = step(state, list(map(every_lane, in_bits)), mask)
+        golden_next = (
+            checkpoints[cycle + 1].state
+            if cycle + 1 < num_cycles
+            else campaign._golden.final_state
         )
-
-    cone = compute_fault_cone(netlist, fault_wire)
-    # Faulty wire values across all cycles; border wires read golden columns.
-    faulty: dict[str, np.ndarray] = {fault_wire: trace.wire(fault_wire) ^ 1}
-    for gate in cone.cone_gates:
-        cell = netlist.library[gate.cell]
-        func = cell.function
-        row = np.zeros(num_cycles, dtype=np.uint16)
-        for pin_index, pin in enumerate(func.pins):
-            wire = gate.inputs[pin]
-            vec = faulty.get(wire)
-            if vec is None:
-                vec = trace.wire(wire)
-            row |= vec.astype(np.uint16) << pin_index
-        faulty[gate.output] = _cell_lut(cell, lut_cache)[row]
-
-    def diff(wire: str) -> np.ndarray | None:
-        """Boolean faulty-vs-golden difference vector, None outside cone."""
-        vec = faulty.get(wire)
-        if vec is None:
-            return None
-        return vec != trace.wire(wire)
-
-    escape = np.zeros(num_cycles, dtype=bool)
-    # Escapes are per *role*, not per wire: a wire may drive several DFF D
-    # pins and outputs at once, and ``w``'s own D role is the hold signal,
-    # never an escape.
-    for other_name, other in netlist.dffs.items():
-        if other_name == dff_name:
-            continue
-        other_diff = diff(other.d)
-        if other_diff is not None:
-            escape |= other_diff
-    for out_wire in netlist.outputs:
-        out_diff = diff(out_wire)
-        if out_diff is not None:
-            escape |= out_diff
-    if reads is not None:
-        escape |= np.fromiter(
-            (dff_name in cycle_reads for cycle_reads in reads),
-            dtype=bool,
-            count=num_cycles,
-        )
-
-    own_diff = diff(dff.d)
-    hold = own_diff if own_diff is not None else np.zeros(num_cycles, dtype=bool)
-
+        # Lane i's bit of diffs[j]: flipping FF i changes FF j's D.
+        diffs = list(map(xor, next_state, map(every_lane, golden_next)))
+        escape = reduce(or_, map(and_, diffs, others), 0)
+        escape |= reduce(or_, map(xor, outputs, map(every_lane, out_bits)), 0)
+        for index in reads[cycle]:
+            escape |= own[index]
+        escapes.append(escape)
+        holds.append(reduce(or_, map(and_, diffs, own), 0))
     codes = np.where(
-        escape,
+        _bit_matrix(escapes, num_ffs),
         np.uint8(ord(EVENT_ESCAPE)),
-        np.where(hold, np.uint8(ord(EVENT_HOLD)), np.uint8(ord(EVENT_KILL))),
-    ).astype(np.uint8)
-    return codes.tobytes().decode("ascii")
+        np.where(
+            _bit_matrix(holds, num_ffs),
+            np.uint8(ord(EVENT_HOLD)),
+            np.uint8(ord(EVENT_KILL)),
+        ),
+    )
+    return {
+        name: row.tobytes().decode("ascii")
+        for name, row in zip(compiled.dff_names, np.ascontiguousarray(codes.T))
+    }
+
+
+def _bit_matrix(words: list[int], width: int) -> np.ndarray:
+    """Cycle × lane boolean matrix: bit ``i`` of ``words[c]`` at ``[c, i]``."""
+    num_bytes = (width + 7) // 8
+    raw = np.frombuffer(
+        b"".join(word.to_bytes(num_bytes, "little") for word in words),
+        dtype=np.uint8,
+    ).reshape(len(words), num_bytes)
+    return np.unpackbits(raw, axis=1, count=width, bitorder="little").astype(bool)

@@ -1,14 +1,15 @@
 """Independent re-checking of def-use interval certificates.
 
-The analysis in :mod:`repro.prune.access` is vectorized and cone-scoped;
-this module is deliberately neither. :func:`classify_cycle` evaluates the
-*entire* netlist scalar-style (``BoolFunc.evaluate`` per gate, no fault
-cone, no truth-table cache) for a single (flip-flop, cycle) and derives the
-same escape/hold/kill verdict from first principles. :func:`verify_claim`
-checks an :class:`~repro.prune.defuse.IntervalClaim` structurally and
-re-derives its per-cycle evidence — zero injection simulations. Refutations
-come back as human-readable counterexample strings (the static-MATE audit
-playbook).
+The analysis in :mod:`repro.prune.access` steps every flip-flop's flip at
+once through the compiled lane kernel, on the campaign's checkpoints; this
+module shares neither. :func:`classify_cycle` evaluates the *entire*
+netlist scalar-style (``BoolFunc.evaluate`` per gate, no compiled code, no
+lanes) for a single (flip-flop, cycle) on a separately recorded golden
+trace and derives the same escape/hold/kill verdict from first principles.
+:func:`verify_claim` checks an :class:`~repro.prune.defuse.IntervalClaim`
+structurally and re-derives its per-cycle evidence — zero injection
+simulations. Refutations come back as human-readable counterexample strings
+(the static-MATE audit playbook).
 """
 
 from __future__ import annotations

@@ -22,13 +22,15 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.netlist.netlist import Netlist
 from repro.obs import counter, span
-from repro.prune.access import EVENT_ESCAPE, EVENT_HOLD, EVENT_KILL, wire_events
-from repro.trace.trace import Trace
+from repro.prune.access import EVENT_ESCAPE, EVENT_HOLD, EVENT_KILL, golden_events
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.fi.campaign import Campaign
 
 #: Interval kinds.
 KIND_DEAD = "dead"
@@ -206,26 +208,23 @@ class EquivalenceMap:
     @classmethod
     def build(
         cls,
-        netlist: Netlist,
-        trace: Trace,
-        reads: Sequence[frozenset[str]] | None,
+        campaign: Campaign,
         workload: str = "",
         netlist_hash: str = "",
     ) -> EquivalenceMap:
-        """Analyze every flip-flop of ``netlist`` over the golden ``trace``."""
-        wires: dict[str, WireClasses] = {}
-        lut_cache: dict[str, np.ndarray] = {}
+        """Analyze every flip-flop over ``campaign``'s golden run."""
+        netlist = campaign.target.simulator.netlist
         with span(
-            "prune/analyze", netlist=netlist.name, cycles=trace.num_cycles
+            "prune/analyze", netlist=netlist.name, cycles=campaign.golden_cycles
         ):
-            for dff_name, dff in netlist.dffs.items():
-                events = wire_events(
-                    netlist, trace, dff_name, reads=reads, lut_cache=lut_cache
-                )
-                wires[dff_name] = WireClasses(dff_name, dff.q, events)
+            events = golden_events(campaign)
+        wires = {
+            name: WireClasses(name, dff.q, events[name])
+            for name, dff in netlist.dffs.items()
+        }
         counter("prune.maps.built").inc()
         counter("prune.wires.analyzed").inc(len(wires))
-        return cls(netlist.name, workload, netlist_hash, trace.num_cycles, wires)
+        return cls(netlist.name, workload, netlist_hash, campaign.golden_cycles, wires)
 
     # -- queries --------------------------------------------------------
     def interval_of(self, dff: str, cycle: int) -> IntervalClaim:

@@ -271,6 +271,38 @@ class TestLegacyStaticJournal:
             )
 
 
+class TestDefuseColdCache:
+    def test_map_is_built_from_the_campaign_without_a_trace_run(
+        self, tmp_path, monkeypatch
+    ):
+        """``--pruned --defuse`` with no cached map builds it from the
+        campaign's own golden run: no trace-recording simulation, and the
+        map written equals the committed one."""
+        from repro.eval import context
+        from repro.fi.__main__ import main
+        from repro.prune import analyze
+        from repro.sim.simulator import Simulator
+
+        monkeypatch.setattr(
+            analyze, "_map_cache_path",
+            lambda name, digest: tmp_path / f"defuse_{name}_{digest}.json",
+        )
+        record_trace = []
+        run = Simulator.run
+
+        def spy(self, *args, **kwargs):
+            record_trace.append(kwargs.get("record_trace", True))
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", spy)
+        assert main(["run", "--target", "avr-fib", "--sampled", "40",
+                     "--pruned", "--defuse", "--workers", "0", "--no-store",
+                     "--journal", str(tmp_path / "j.jsonl")]) == 0
+        assert record_trace and not any(record_trace)
+        (built,) = tmp_path.glob("defuse_avr-fib_*.json")
+        assert built.read_text() == (context.cache_dir() / built.name).read_text()
+
+
 class TestCliErrors:
     def test_unknown_target_fails_cleanly(self, tmp_path):
         result = _cli(

@@ -503,8 +503,11 @@ class TestEndToEnd:
                     client, "svc", lambda c: c["status"] == "complete"
                 )
             coord.request_shutdown()
+            stopping = time.monotonic()
             worker.join(60)
             assert not worker.is_alive()
+            assert time.monotonic() - stopping < 5
+            assert any("coordinator shut down" in line for line in stop)
 
         directory = tmp_path / "campaigns" / "svc"
         state = load_journal(directory / "merged.jsonl")

@@ -5,7 +5,6 @@ import dataclasses
 
 import pytest
 
-from repro.fi.campaign import Campaign
 from repro.fi.classify import Outcome
 from repro.lint.registry import LintConfig, LintTarget
 from repro.lint.runner import run_lint
@@ -23,9 +22,7 @@ EXHAUSTIVE = LintConfig(prune_samples=10_000, prune_cert_samples=10_000)
 
 def _fresh_audit():
     """A private audit bundle the doctoring tests may mutate freely."""
-    audit = PruneAudit(analyze_target(seq_target(), max_cycles=100))
-    audit._campaign = Campaign(seq_target(), max_cycles=100)
-    return audit
+    return PruneAudit(analyze_target(seq_target(), max_cycles=100))
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cells import nangate15_library
+from repro.core.cone import compute_fault_cone
 from repro.netlist import Netlist
 from repro.netlist.netlist import CONST0, CONST1
 
@@ -72,6 +73,16 @@ class TestConstruction:
 class TestGraphQueries:
     def test_wires(self, small):
         assert {"a", "b", "w1", "q1", "y", CONST0, CONST1} == small.wires()
+
+    def test_wire_set_follows_mutation_after_a_cone_call(self, small):
+        # The wire set is cached; a gate added after a cone computation
+        # must be visible to the next one.
+        assert compute_fault_cone(small, "q1").cone_wires == {"q1", "y"}
+        small.add_gate("g3", "AND2", {"A": "q1", "B": "b"}, "w3")
+        small.add_output("w3")
+        assert "w3" in small.wires()
+        assert compute_fault_cone(small, "q1").cone_wires == {"q1", "y", "w3"}
+        assert compute_fault_cone(small, "w3").endpoint_wires == {"w3"}
 
     def test_driver_map(self, small):
         drivers = small.driver_map()

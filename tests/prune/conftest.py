@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fi import Campaign
 from repro.prune import EquivalenceMap
 
 from .prune_targets import seq_target
@@ -31,11 +32,13 @@ def golden(target):
 
 
 @pytest.fixture(scope="session")
-def emap(netlist, golden):
+def campaign(target):
+    """The fixture's campaign: the golden run the def-use map is built on."""
+    return Campaign(target, max_cycles=100)
+
+
+@pytest.fixture(scope="session")
+def emap(campaign):
     return EquivalenceMap.build(
-        netlist,
-        golden.trace,
-        golden.reads,
-        workload="fixture",
-        netlist_hash="fixture-hash",
+        campaign, workload="fixture", netlist_hash="fixture-hash"
     )

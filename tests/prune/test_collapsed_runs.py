@@ -8,18 +8,13 @@ the brute-force reference that injects every requested point.
 
 import pytest
 
-from repro.fi import Campaign, CampaignRunner, RunnerConfig, TargetSpec
+from repro.fi import CampaignRunner, RunnerConfig, TargetSpec
 from repro.fi.journal import load_journal
 from repro.fi.runner import AnnotationPlan
 
 from .prune_targets import seq_target
 
 SEQ = TargetSpec(factory="tests.prune.prune_targets:seq_target")
-
-
-@pytest.fixture(scope="module")
-def campaign(target):
-    return Campaign(target, max_cycles=100)
 
 
 @pytest.fixture(scope="module")
